@@ -31,13 +31,14 @@ Commands
 ``bench``
     CI smoke benchmark: one reduced run per scheme, JSON rows out,
     optional recorded-run HTML report.  ``bench --micro`` instead runs
-    the hot-path micro-benchmarks (events/sec, packets/sec, determinism
+    the hot-path micro-benchmarks (packets/sec, events/sec, determinism
     checksums) and can compare against a committed baseline
     (``--baseline``, ``--require-identical``); ``--profile`` attributes
     wall time to kernel handlers.  ``bench --cache-bench`` times the
-    same sweep cold then warm through the result cache
-    (``BENCH_pr5.json``).  ``bench --spans-smoke`` measures span-
-    collection overhead and verifies spans never change the simulation.
+    same sweep cold then warm through the result cache.  ``bench
+    --spans-smoke`` measures span-collection overhead and verifies spans
+    never change the simulation.  The committed performance trajectory
+    is the benchmark ladder's (``benchmarks/ladder/README.md``).
 ``cache``
     Result-cache maintenance: ``stats`` (``--json`` for machines),
     ``clear``, ``gc --max-size``.
@@ -397,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
                        " overhead past this warns (default 10)")
     bench.add_argument("--cache-bench", action="store_true",
                        help="time a representative sweep cold vs warm"
-                       " through the result cache (JSON default:"
-                       " BENCH_pr5.json)")
+                       " through the result cache (--json FILE keeps the"
+                       " row)")
     bench.add_argument("--cache-dir", metavar="DIR", default=None,
                        help="cache-bench mode: reuse this cache directory"
                        " (default: a throwaway temp dir)")
@@ -943,8 +944,8 @@ def _cmd_bench_cache(args: argparse.Namespace) -> int:
     row = run_cache_bench(seed=args.seed, cache_dir=args.cache_dir,
                           processes=args.processes)
     print(format_cache_bench(row))
-    json_path = args.json if args.json else "BENCH_pr5.json"
-    print("wrote", write_bench_json(json_path, [row]))
+    if args.json:
+        print("wrote", write_bench_json(args.json, [row]))
     if not row["byte_identical"]:
         print("ERROR: warm results differ from cold", file=sys.stderr)
         return 2

@@ -124,24 +124,48 @@ class TlbBalancer(LoadBalancer):
     # -- the data path -------------------------------------------------------
 
     def select_port(self, pkt: "Packet", ports: Sequence["Port"]) -> "Port":
+        # Once per packet at every source leaf, so the helpers it used to
+        # call are written out in place — Packet.lb_key / starts_flow /
+        # ends_flow, FlowTable.observe, LbCounters.note_entries and
+        # LoadEstimator.account — with every counter they kept.
         c = self.counters
         c.decisions += 1
-        now = self.switch.sim.now
-        key = pkt.lb_key()
+        now = self.switch.sim._now
+        is_ack = pkt.is_ack
+        key = (pkt.flow_id, is_ack)
+        size = pkt.size
+        deadline = pkt.deadline
 
         c.state_reads += 1
-        entry = self.table.observe(key, pkt.size, now, deadline=pkt.deadline)
+        table = self.table
+        entries = table._entries
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = FlowEntry(key, now)
+            table.n_short += 1
+        entry.bytes_seen += size
+        entry.last_seen = now
+        if deadline is not None:
+            entry.deadline = deadline
+        is_long = entry.is_long
+        if not is_long and entry.bytes_seen > table.long_threshold:
+            is_long = entry.is_long = True
+            table.n_short -= 1
+            table.n_long += 1
+            table.promotions += 1
         c.state_writes += 1
-        c.note_entries(len(self.table))
+        if len(entries) > c.peak_entries:
+            c.peak_entries = len(entries)
         if (
-            pkt.starts_flow
-            and pkt.deadline is not None
+            deadline is not None
+            and pkt.syn
+            and not is_ack
             and self.config.use_deadline_info
         ):
-            self.deadline_stats.observe(pkt.deadline)
+            self.deadline_stats.observe(deadline)
 
         n = len(ports)
-        if entry.is_long:
+        if is_long:
             idx = entry.port_idx
             if idx < 0 or idx >= n:
                 # First decision as a long flow: place it once.
@@ -165,22 +189,25 @@ class TlbBalancer(LoadBalancer):
                             )
                     idx = new_idx
         else:
-            self.load.account(pkt.size)
-            idx = self._short_pick(entry, ports, c)
+            load = self.load
+            load._bytes += size
+            load._packets += 1
+            if self.config.short_policy == "shortest_queue":
+                c.queue_reads += n
+                idx = shortest_queue_index(ports)
+            else:
+                idx = self._short_pick(entry, ports, c)
         entry.port_idx = idx
 
-        if pkt.ends_flow:
-            self.table.remove(key)
+        if pkt.fin and not is_ack:
+            table.remove(key)
         return ports[idx]
 
     def _short_pick(self, entry, ports, c) -> int:
-        """Short-flow path choice under the configured policy."""
+        """Short-flow path choice under the ablation policies (the
+        default, shortest queue, is decided in :meth:`select_port`)."""
         n = len(ports)
-        policy = self.config.short_policy
-        if policy == "shortest_queue":
-            c.queue_reads += n
-            return shortest_queue_index(ports)
-        if policy == "random":
+        if self.config.short_policy == "random":
             c.rng_draws += 1
             return self.rng.randrange(n)
         # "hash": pin the flow to its first (seed-random) choice.

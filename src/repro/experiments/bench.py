@@ -13,7 +13,7 @@ bench files from different commits diff directly with ``repro diff``.
 representative figure sweep twice through the result cache — cold
 (empty cache, everything simulated) then warm (everything served from
 disk) — verifies the warm pass is 100 % hits with results identical to
-the cold ones, and records both wall times (``BENCH_pr5.json``).
+the cold ones, and records both wall times.
 """
 
 from __future__ import annotations

@@ -118,6 +118,9 @@ class LoadBalancer(PathStateObserver):
         self.counters = LbCounters()
         #: uplinks reported down (identity set); see PathStateObserver
         self.down_ports: set["Port"] = set()
+        #: candidate tuple -> its live subset while any uplink is down;
+        #: emptied whenever ``down_ports`` changes
+        self._live_ports: dict[tuple, tuple] = {}
         self.path_events = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -141,6 +144,7 @@ class LoadBalancer(PathStateObserver):
         """Record a dead uplink and tell the scheme (:meth:`on_path_down`)."""
         if port not in self.down_ports:
             self.down_ports.add(port)
+            self._live_ports.clear()
             self.path_events += 1
             self.on_path_down(port)
 
@@ -148,6 +152,7 @@ class LoadBalancer(PathStateObserver):
         """Re-admit a recovered uplink (:meth:`on_path_up` for schemes)."""
         if port in self.down_ports:
             self.down_ports.discard(port)
+            self._live_ports.clear()
             self.path_events += 1
             self.on_path_up(port)
 
@@ -164,11 +169,20 @@ class LoadBalancer(PathStateObserver):
         down — there is no good choice then, and packets will be dropped
         or parked at the port itself, which is exactly what a switch
         with no live uplink does.
+
+        The filtered set is computed once per candidate set and kept
+        until the next :meth:`path_down` / :meth:`path_up`, so a dead
+        uplink costs a dictionary lookup per packet, not a rebuilt list.
         """
-        if not self.down_ports:
+        down = self.down_ports
+        if not down:
             return ports
-        live = [p for p in ports if p not in self.down_ports]
-        return live if live else ports
+        key = ports if type(ports) is tuple else tuple(ports)
+        live = self._live_ports.get(key)
+        if live is None:
+            live = tuple(p for p in key if p not in down) or key
+            self._live_ports[key] = live
+        return live
 
     # -- the decision ------------------------------------------------------
 

@@ -82,7 +82,7 @@ class Host(Node):
         """Hand a packet to the NIC (transport agents call this)."""
         if self.nic is None:
             raise TransportError(f"{self.name}: no NIC attached")
-        pkt.sent_time = self.sim.now
+        pkt.sent_time = self.sim._now
         self.nic.enqueue(pkt)
 
     def receive(self, pkt: "Packet") -> None:

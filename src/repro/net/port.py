@@ -15,23 +15,69 @@ the propagation ``delay`` and finally delivered to the neighbour node.
 Propagation pipelines (multiple packets can be in flight); serialisation
 does not.
 
+One event per hop
+-----------------
+A packet hop costs **one** calendar event, the delivery.  When a
+serialisation starts at ``t0`` the port
+
+* *reserves* the sequence number ``R`` its completion would be scheduled
+  under, and remembers ``_free_at = t0 + tx``;
+* schedules ``dst.receive(pkt)`` straight away at ``(t0 + tx) + delay``.
+
+The completion itself is lazy state.  Most of the time nothing looks at
+the port between ``t0 + tx`` and its next packet, and the next touch —
+:meth:`Port.enqueue`, or any of ``stats`` / ``busy`` /
+``busy_time_now()`` / ``snapshot()`` / ``fail()`` — *settles* it first:
+credits ``transmitted``, ``bytes_transmitted`` and ``busy_time`` and
+clears the transmitter, exactly what the event would have done.  Every
+observable therefore reads the same at every instant as if the
+completion had fired on time.
+
+A completion **event** (still :meth:`Port._transmission_done`, so
+profiles keep attributing port time to that name) exists only when
+something has to happen at ``_free_at``:
+
+* a packet queues behind the busy transmitter — the event starts the
+  next serialisation.  It is pushed at ``(_free_at, R)``, the calendar
+  position reserved at ``t0``, so it runs in the order it always did;
+* the link is cut mid-serialisation (:meth:`Port.fail`) — the packet on
+  the wire must be lost unless the link is back by ``_free_at``, so the
+  pending delivery is *revoked* from the calendar
+  (:meth:`~repro.sim.engine.Simulator.revoke`, O(calendar), control-plane
+  only) and the armed completion decides: drop, or deliver after
+  ``delay`` as before.
+
+**Tie rule.**  An enqueue at exactly ``now == _free_at`` must see the
+transmitter busy if the completion's position ``(_free_at, R)`` has not
+been reached and idle if it has.  The kernel publishes the sequence
+number of the running event (``sim._cur_seq``); the port compares it
+with ``R``.
+
+**What differs from two events per hop.**  The delivery's sequence
+number is drawn at serialisation start instead of at completion, so
+among events scheduled for the *same float instant* a delivery can sort
+differently from before when the other event was scheduled during the
+serialisation.  No seeded outcome in the test suite or the benchmark
+ladder changes (``tests/test_outcome_pins.py``); kernel event counts
+fall by the share of completions that never needed an event.
+
 Hot path
 --------
-``enqueue`` and the two transmission callbacks run once per packet per
-hop, which makes them the busiest Python frames of any full-fabric run.
-They avoid re-reading slots in loops, cache the serialisation delay per
-packet size (invalidated when ``rate`` changes), collapse the per-record
+``enqueue`` and ``_transmit`` run once per packet per hop, which makes
+them the busiest Python frames of any full-fabric run.  They avoid
+re-reading slots in loops, cache the serialisation delay per packet
+size (invalidated when ``rate`` changes), collapse the per-record
 ``tracer.enabled`` checks into one cached boolean (kept in sync by the
 ``tracer`` property — the shared :class:`~repro.sim.trace.NullTracer`
-costs a single slot read per call), and schedule completion/delivery
-through :meth:`~repro.sim.engine.Simulator.call_later_fast`, which
-allocates no :class:`~repro.sim.engine.Event` (these events are never
-cancelled).
+costs a single slot read per call), read the clock as ``sim._now`` and
+push handle-less ``(time, seq, fn, args)`` entries straight onto the
+kernel's calendar.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigError
@@ -56,6 +102,8 @@ class PortStats:
     advance; :meth:`Port.busy_time_now` pro-rates the in-progress packet
     for mid-run samplers.  ``ecn_marked`` counts only marks freshly
     applied by this port, not packets that arrived already CE-marked.
+    Read through :attr:`Port.stats`, which first settles a completion
+    that is due but never needed an event.
     """
 
     __slots__ = (
@@ -127,6 +175,9 @@ class Port:
     parked.  A packet whose serialisation completes while the port is
     down is lost in both modes (it was on the wire when the link cut).
     This is the substrate the :mod:`repro.faults` injector drives.
+
+    ``delay`` is read when a serialisation starts; change it between
+    runs (static asymmetry), not under traffic.
     """
 
     __slots__ = (
@@ -141,7 +192,7 @@ class Port:
         "_trace",
         "_queue",
         "_busy",
-        "stats",
+        "_stats",
         "queue_bytes",
         "_ser_cache",
         "_loss_rate",
@@ -149,7 +200,12 @@ class Port:
         "_admin_up",
         "_down_mode",
         "_tx_start",
-        "_tx_flow",
+        "_tx_pkt",
+        "_tx_time",
+        "_tx_seq",
+        "_free_at",
+        "_armed",
+        "_deliver",
     )
 
     def __init__(
@@ -180,19 +236,33 @@ class Port:
         self._rate = float(rate)
         self.delay = float(delay)
         self.dst = dst
+        #: ``dst.receive``, bound once instead of once per packet
+        self._deliver = dst.receive
         self.buffer_packets = int(buffer_packets)
         self.ecn_threshold = ecn_threshold
         self.tracer = tracer if tracer is not None else _NULL_TRACER
         self._queue: deque[Packet] = deque()
+        #: a serialisation was started and its completion not yet settled
+        #: (see :attr:`busy` for the exact reading)
         self._busy = False
-        self.stats = PortStats()
+        self._stats = PortStats()
         self.queue_bytes = 0
         self._loss_rate = 0.0
         self._loss_rng = None
         self._admin_up = True
         self._down_mode = "drop"
+        #: when the serialisation in progress started; ``None`` once a
+        #: link cut has credited its busy share and revoked its delivery
         self._tx_start: Optional[float] = None
-        self._tx_flow: Optional[int] = None
+        # The serialisation in progress (meaningful while ``_busy``): the
+        # packet on the wire, its duration, the sequence number reserved
+        # for its completion and when it ends.
+        self._tx_pkt: Optional["Packet"] = None
+        self._tx_time = 0.0
+        self._tx_seq = -1
+        self._free_at = 0.0
+        #: the completion is an event in the calendar
+        self._armed = False
         self.set_loss(loss_rate, loss_rng)
 
     # -- cached-attribute invariants --------------------------------------
@@ -297,20 +367,30 @@ class Port:
                 if mode == "drop" and self._queue:
                     self._flush_queue("link_down")
             return
+        self._settle()
         self._down_mode = mode
         self._admin_up = False
-        # The transmitter was genuinely busy from serialisation start
-        # until the cut; credit that fraction now, because the packet on
-        # the wire is lost and its completion will credit nothing.
         if self._busy and self._tx_start is not None:
-            self.stats.busy_time += self.sim.now - self._tx_start
+            sim = self.sim
+            # The transmitter was genuinely busy from serialisation start
+            # until the cut; credit that fraction now, because the packet
+            # on the wire is lost and its completion will credit nothing.
+            self._stats.busy_time += sim._now - self._tx_start
             self._tx_start = None
+            # Take the packet back off the wire (its delivery was
+            # scheduled right after the reserved completion number) and
+            # let the completion event decide its fate.
+            sim.revoke(self._tx_seq + 1)
+            if not self._armed:
+                self._armed = True
+                heappush(sim._heap, (self._free_at, self._tx_seq,
+                                     self._transmission_done, ()))
         if mode == "drop" and self._queue:
             self._flush_queue("link_down")
 
     def _flush_queue(self, reason: str) -> None:
         """Drop everything queued (not the packet mid-serialisation)."""
-        stats = self.stats
+        stats = self._stats
         queue = self._queue
         trace = self._trace
         while queue:
@@ -331,8 +411,12 @@ class Port:
         if self._admin_up:
             return
         self._admin_up = True
-        if self._queue and not self._busy:
-            self._start_transmission()
+        # No settling: a port that went down busy has an armed completion.
+        queue = self._queue
+        if queue and not self._busy:
+            pkt = queue.popleft()
+            self.queue_bytes -= pkt.size
+            self._transmit(pkt)
 
     # -- queue state (the congestion signals LB schemes read) ------------
 
@@ -342,9 +426,34 @@ class Port:
         currently being serialised, matching how NS2 reports queue size)."""
         return len(self._queue)
 
+    def _settle(self) -> None:
+        """Apply a completion that is due but never needed an event.
+
+        Such a completion has an empty queue behind it and an up link
+        (queueing and :meth:`fail` both arm the event instead), so all
+        it does is credit the counters and release the transmitter.
+        """
+        if self._busy:
+            sim = self.sim
+            now = sim._now
+            free_at = self._free_at
+            if now > free_at or (now == free_at and sim._cur_seq > self._tx_seq):
+                stats = self._stats
+                stats.transmitted += 1
+                stats.bytes_transmitted += self._tx_pkt.size
+                stats.busy_time += self._tx_time
+                self._busy = False
+
+    @property
+    def stats(self) -> PortStats:
+        """This port's counters, exact at the current instant."""
+        self._settle()
+        return self._stats
+
     @property
     def busy(self) -> bool:
         """Whether a packet is currently being serialised."""
+        self._settle()
         return self._busy
 
     def serialization_delay(self, nbytes: int) -> float:
@@ -363,7 +472,7 @@ class Port:
         bt = self.stats.busy_time
         start = self._tx_start
         if self._busy and start is not None:
-            bt += self.sim.now - start
+            bt += self.sim._now - start
         return bt
 
     def snapshot(self) -> tuple[int, float, int, int, int]:
@@ -390,13 +499,15 @@ class Port:
         Returns ``True`` if the packet was queued (or began transmitting),
         ``False`` if it was dropped because the buffer was full.
         """
-        stats = self.stats
+        stats = self._stats
         trace = self._trace
+        sim = self.sim
+        now = sim._now
         if not self._admin_up and self._down_mode == "drop":
             stats.dropped += 1
             if trace:
                 self._tracer.emit(
-                    self.sim.now, "drop", port=self.name, flow=pkt.flow_id,
+                    now, "drop", port=self.name, flow=pkt.flow_id,
                     seq=pkt.seq, is_ack=pkt.is_ack, reason="link_down",
                 )
             return False
@@ -404,7 +515,7 @@ class Port:
             stats.dropped += 1
             if trace:
                 self._tracer.emit(
-                    self.sim.now, "drop", port=self.name, flow=pkt.flow_id,
+                    now, "drop", port=self.name, flow=pkt.flow_id,
                     seq=pkt.seq, is_ack=pkt.is_ack, injected=True,
                 )
             return False
@@ -414,7 +525,7 @@ class Port:
             stats.dropped += 1
             if trace:
                 self._tracer.emit(
-                    self.sim.now, "drop", port=self.name, flow=pkt.flow_id, seq=pkt.seq,
+                    now, "drop", port=self.name, flow=pkt.flow_id, seq=pkt.seq,
                     is_ack=pkt.is_ack,
                 )
             return False
@@ -435,79 +546,119 @@ class Port:
             stats.ecn_marked += 1
             if trace:
                 self._tracer.emit(
-                    self.sim.now, "mark", port=self.name, flow=pkt.flow_id,
+                    now, "mark", port=self.name, flow=pkt.flow_id,
                     seq=pkt.seq, qlen=qlen,
                 )
-        pkt.enqueued_at = self.sim.now
+        busy = self._busy
+        if busy and (now > self._free_at or (
+                now == self._free_at and sim._cur_seq > self._tx_seq)):
+            # _settle(), inlined: the transmitter fell idle unobserved.
+            stats.transmitted += 1
+            stats.bytes_transmitted += self._tx_pkt.size
+            stats.busy_time += self._tx_time
+            busy = self._busy = False
+        pkt.enqueued_at = now
         stats.enqueued += 1
         size = pkt.size
         stats.bytes_enqueued += size
-        self.queue_bytes += size
         if trace:
             # ``head`` names the flow whose packet currently holds the
             # transmitter: the flow this packet is queued *behind*.  The
             # span forensics layer aggregates waits by head flow to say
             # "spent 2.1 ms queued behind long flow 317".
             self._tracer.emit(
-                self.sim.now, "enqueue", port=self.name, flow=pkt.flow_id,
-                seq=pkt.seq, qlen=qlen, is_ack=pkt.is_ack, head=self._tx_flow,
+                now, "enqueue", port=self.name, flow=pkt.flow_id,
+                seq=pkt.seq, qlen=qlen, is_ack=pkt.is_ack,
+                head=self._tx_pkt.flow_id if busy else None,
             )
-        queue.append(pkt)
-        if not self._busy and self._admin_up:
-            self._start_transmission()
+        if busy:
+            queue.append(pkt)
+            self.queue_bytes += size
+            if not self._armed:
+                # Something now waits for this serialisation to end: the
+                # completion becomes an event, at its reserved position.
+                self._armed = True
+                heappush(sim._heap, (self._free_at, self._tx_seq,
+                                     self._transmission_done, ()))
+        elif self._admin_up:
+            # Idle and up means nothing is queued: straight to the wire.
+            self._transmit(pkt)
+        else:
+            queue.append(pkt)  # parked until recover()
+            self.queue_bytes += size
         return True
 
-    def _start_transmission(self) -> None:
+    def _transmit(self, pkt: "Packet") -> None:
+        """Start serialising ``pkt`` and schedule its delivery."""
         sim = self.sim
-        pkt = self._queue.popleft()
+        now = sim._now
         size = pkt.size
-        self.queue_bytes -= size
-        self._busy = True
         cache = self._ser_cache
         tx = cache.get(size)
         if tx is None:
             tx = cache[size] = (size * BITS_PER_BYTE) / self._rate
-        self._tx_start = sim.now
-        self._tx_flow = pkt.flow_id
+        self._busy = True
+        self._tx_start = now
+        self._tx_pkt = pkt
+        self._tx_time = tx
+        free_at = self._free_at = now + tx
+        counter = sim._counter
+        seq = self._tx_seq = next(counter)
         if self._trace:
             self._tracer.emit(
-                sim.now, "dequeue", port=self.name, flow=pkt.flow_id,
-                seq=pkt.seq, wait=sim.now - pkt.enqueued_at, is_ack=pkt.is_ack,
+                now, "dequeue", port=self.name, flow=pkt.flow_id,
+                seq=pkt.seq, wait=now - pkt.enqueued_at, is_ack=pkt.is_ack,
             )
-        sim.call_later_fast(tx, self._transmission_done, pkt, tx)
+        heap = sim._heap
+        # Propagation pipelines: the delivery needs no completion event.
+        # It takes the number after ``seq``, which is how fail() finds it.
+        heappush(heap, (free_at + self.delay, next(counter),
+                        self._deliver, (pkt,)))
+        if self._queue:
+            self._armed = True
+            heappush(heap, (free_at, seq, self._transmission_done, ()))
+        else:
+            self._armed = False
 
-    def _transmission_done(self, pkt: "Packet", tx: float) -> None:
+    def _transmission_done(self) -> None:
+        """The completion as an event: only when a packet waits behind
+        the transmitter or the link was cut mid-serialisation."""
+        self._armed = False
+        stats = self._stats
+        pkt = self._tx_pkt
         if not self._admin_up:
             # The link was cut mid-serialisation: the packet is lost and
             # no further transmission starts until recover().  fail()
             # already credited the busy fraction up to the cut.
             self._busy = False
-            self._tx_flow = None
-            self.stats.dropped += 1
+            stats.dropped += 1
             if self._trace:
                 self._tracer.emit(
                     self.sim.now, "drop", port=self.name, flow=pkt.flow_id,
                     seq=pkt.seq, is_ack=pkt.is_ack, reason="link_down",
                 )
             return
-        stats = self.stats
         stats.transmitted += 1
         stats.bytes_transmitted += pkt.size
         # Busy time is credited at serialisation *completion*: a
         # utilization sample taken mid-serialisation must not already
         # include the whole packet (use busy_time_now() to pro-rate).
         # _tx_start is None only when a fail()/recover() pair raced this
-        # completion — fail() credited the pre-cut fraction already.
+        # completion — fail() credited the pre-cut fraction already and
+        # revoked the delivery; the link is back, so the packet made it
+        # after all.
         if self._tx_start is not None:
-            stats.busy_time += tx
-        # Propagation pipelines: hand off and immediately start the next.
-        self.sim.call_later_fast(self.delay, self.dst.receive, pkt)
-        if self._queue:
-            self._start_transmission()
+            stats.busy_time += self._tx_time
+        else:
+            self.sim.call_later_fast(self.delay, self._deliver, pkt)
+        queue = self._queue
+        if queue:
+            pkt = queue.popleft()
+            self.queue_bytes -= pkt.size
+            self._transmit(pkt)
         else:
             self._busy = False
-            self._tx_flow = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self._admin_up else f" DOWN({self._down_mode})"
-        return f"<Port {self.name} qlen={self.queue_length} busy={self._busy}{state}>"
+        return f"<Port {self.name} qlen={self.queue_length} busy={self.busy}{state}>"

@@ -86,9 +86,13 @@ class Switch(Node):
 
         Single-candidate destinations bypass the balancer entirely
         (down-direction traffic in a leaf–spine fabric); multi-candidate
-        destinations ask the balancer — through its
-        :meth:`~repro.lb.base.LoadBalancer.pick` entry point, which
-        excludes uplinks the control plane has reported dead.
+        destinations ask the balancer.  While the control plane reports
+        dead uplinks the call goes through
+        :meth:`~repro.lb.base.LoadBalancer.pick`, which excludes them;
+        with none reported — every packet of a fault-free run — ``pick``
+        would hand the candidates over unchanged, so the switch calls
+        :meth:`~repro.lb.base.LoadBalancer.select_port` itself and saves
+        the frame.
 
         A blackholed switch (see :meth:`set_blackhole`) silently drops
         everything: the fault the :mod:`repro.faults` injector uses to
@@ -108,15 +112,18 @@ class Switch(Node):
             raise RoutingError(f"{self.name}: no route to {pkt.dst!r}") from None
         self.packets_forwarded += 1
         if len(candidates) == 1:
-            port = candidates[0]
+            candidates[0].enqueue(pkt)
+            return
+        lb = self.lb
+        if lb is None:
+            raise RoutingError(
+                f"{self.name}: {len(candidates)} candidate ports for "
+                f"{pkt.dst!r} but no load balancer attached"
+            )
+        if lb.down_ports:
+            lb.pick(pkt, candidates).enqueue(pkt)
         else:
-            if self.lb is None:
-                raise RoutingError(
-                    f"{self.name}: {len(candidates)} candidate ports for "
-                    f"{pkt.dst!r} but no load balancer attached"
-                )
-            port = self.lb.pick(pkt, candidates)
-        port.enqueue(pkt)
+            lb.select_port(pkt, candidates).enqueue(pkt)
 
     def set_blackhole(self, on: bool) -> None:
         """Start or stop silently dropping every received packet."""

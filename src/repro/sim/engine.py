@@ -27,6 +27,19 @@ matter for reproducibility and speed:
   O(n) ``heapify`` when cancelled entries exceed half the calendar
   (past a minimum size), instead of paying per-cancel removal costs.
 
+* **Reserved sequence numbers.**  A sequence number may be drawn now and
+  used later: an entry pushed under it sorts, among events of equal
+  time, as if it had been scheduled when the number was drawn.  The
+  kernel also publishes the number of the event it is executing
+  (``Simulator._cur_seq``, one slot store per event).  Together they let
+  :class:`~repro.net.port.Port` — which pushes its per-packet entries
+  onto the calendar itself — keep a serialisation completion as plain
+  state, materialise it as an event only when something depends on it,
+  at exactly the calendar position the event would have had, and decide
+  at an exact time tie whether that position has been passed.
+  :meth:`Simulator.revoke` removes one handle-less entry again (a link
+  cut while its packet is on the wire).
+
 Times are ``float`` seconds.  The kernel never rounds: any quantisation
 would distort the sub-microsecond serialisation delays of 1 Gbps links.
 """
@@ -115,14 +128,21 @@ class Simulator:
     1.5
     """
 
-    __slots__ = ("_heap", "_counter", "_now", "_running", "_processed",
-                 "_stopped", "_n_cancelled", "_profiler", "_cleanup_hooks")
+    __slots__ = ("_heap", "_counter", "_now", "_cur_seq", "_running",
+                 "_processed", "_stopped", "_n_cancelled", "_profiler",
+                 "_cleanup_hooks")
 
     def __init__(self, start: float = 0.0):
         #: entries are ``(time, seq, Event)`` or ``(time, seq, fn, args)``
         self._heap: list[tuple] = []
         self._counter = itertools.count()
         self._now = float(start)
+        #: sequence number of the executing (else the last executed)
+        #: event: every calendar position ``<= (now, _cur_seq)`` has been
+        #: passed, every later one has not.  ``-1`` before the first
+        #: event; ``maxsize`` once a :meth:`run` has drained every event
+        #: due at the clock it returns with.
+        self._cur_seq = -1
         self._running = False
         self._stopped = False
         self._processed = 0
@@ -220,6 +240,23 @@ class Simulator:
             self._sweep()
         heappush(heap, (self._now + delay, next(self._counter), fn, args))
 
+    def revoke(self, seq: int) -> None:
+        """Remove the handle-less entry scheduled under ``seq``.
+
+        O(calendar) — a control-plane helper (a link cut revoking the
+        delivery of the packet on the wire), never on a per-packet path.
+        In place, like :meth:`_sweep`, so a running loop keeps seeing
+        the calendar.
+        """
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[1] == seq and len(entry) == 4:
+                heap[i] = heap[-1]
+                heap.pop()
+                heapify(heap)
+                return
+        raise SimulationError(f"no pending fast event with seq {seq}")
+
     def _sweep(self) -> None:
         """Batch lazy-deletion: drop cancelled entries, re-heapify in place.
 
@@ -294,8 +331,10 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                if len(entry) == 3:
-                    ev = entry[2]
+                if len(entry) == 4:
+                    when, seq, fn, args = entry
+                else:
+                    when, seq, ev = entry
                     if ev.cancelled:
                         # Skipped, not run: consumes neither budget nor
                         # clock, and is discarded even beyond ``until``.
@@ -303,10 +342,6 @@ class Simulator:
                         continue
                     fn = ev.fn
                     args = ev.args
-                else:
-                    fn = entry[2]
-                    args = entry[3]
-                when = entry[0]
                 if when > bound:
                     heappush(heap, entry)
                     break
@@ -316,6 +351,7 @@ class Simulator:
                         f"exceeded max_events={max_events} (possible event storm)"
                     )
                 self._now = when
+                self._cur_seq = seq
                 fn(*args)
                 executed += 1
                 if self._stopped:
@@ -326,8 +362,7 @@ class Simulator:
         finally:
             self._processed += executed
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
-            self._now = until
+        self._settle_clock(until)
 
     def _run_profiled(self, until: Optional[float], max_events: Optional[int]) -> None:
         """:meth:`run` with per-handler attribution.
@@ -361,17 +396,15 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                if len(entry) == 3:
-                    ev = entry[2]
+                if len(entry) == 4:
+                    when, seq, fn, args = entry
+                else:
+                    when, seq, ev = entry
                     if ev.cancelled:
                         self._n_cancelled -= 1
                         continue
                     fn = ev.fn
                     args = ev.args
-                else:
-                    fn = entry[2]
-                    args = entry[3]
-                when = entry[0]
                 if when > bound:
                     heappush(heap, entry)
                     break
@@ -381,6 +414,7 @@ class Simulator:
                         f"exceeded max_events={max_events} (possible event storm)"
                     )
                 self._now = when
+                self._cur_seq = seq
                 name = getattr(fn, "__qualname__", None) or repr(fn)
                 counts[name] += 1
                 if executed % sample_every == 0:
@@ -401,7 +435,14 @@ class Simulator:
             prof.runs += 1
             self._processed += executed
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
+        self._settle_clock(until)
+
+    def _settle_clock(self, until: Optional[float]) -> None:
+        """Normal exit of a run: every event due at the final clock ran."""
+        if self._stopped:
+            return  # events at the current instant may still be pending
+        self._cur_seq = maxsize
+        if until is not None and self._now < until:
             self._now = until
 
     def stop(self) -> None:
@@ -428,6 +469,7 @@ class Simulator:
                 fn = entry[2]
                 args = entry[3]
             self._now = entry[0]
+            self._cur_seq = entry[1]
             fn(*args)
             self._processed += 1
             return True

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from repro.errors import ConfigError, TransportError
@@ -48,9 +49,15 @@ class Flow:
         if self.deadline is not None and self.deadline <= 0:
             raise ConfigError(f"flow {self.id}: deadline must be positive")
 
-    @property
+    @cached_property
     def n_packets(self) -> int:
-        """Number of MSS-sized data packets (last may be short)."""
+        """Number of MSS-sized data packets (last may be short).
+
+        Computed once: senders and receivers read it for every segment.
+        (``cached_property`` stores into the instance ``__dict__``, which
+        a frozen dataclass permits; equality and ``replace`` see fields
+        only.)
+        """
         return max(1, math.ceil(self.size / self.mss))
 
     @property
@@ -60,11 +67,12 @@ class Flow:
 
     def payload_of(self, seq: int) -> int:
         """Payload bytes of data packet ``seq`` (0-based)."""
-        if not 0 <= seq < self.n_packets:
+        last = self.n_packets - 1
+        if not 0 <= seq <= last:
             raise TransportError(f"flow {self.id}: seq {seq} out of range")
-        if seq < self.n_packets - 1:
+        if seq < last:
             return self.mss
-        return self.size - (self.n_packets - 1) * self.mss
+        return self.size - last * self.mss
 
 
 @dataclass

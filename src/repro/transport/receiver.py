@@ -57,20 +57,22 @@ class TcpReceiver:
         self._handle_data(pkt)
 
     def _handle_data(self, pkt: Packet) -> None:
-        self.stats.packets_received += 1
+        stats = self.stats
+        stats.packets_received += 1
         if pkt.ecn_marked:
-            self.stats.ecn_marks += 1
+            stats.ecn_marks += 1
         seq = pkt.seq
         if seq == self.rcv_nxt:
             delivered = self._advance(seq)
-            self.stats.bytes_delivered += delivered
-            self.registry.notify_delivery(self.flow, self.sim.now, delivered)
+            stats.bytes_delivered += delivered
+            now = self.sim._now
+            self.registry.notify_delivery(self.flow, now, delivered)
             if self.rcv_nxt >= self.flow.n_packets and not self.finished:
                 self.finished = True
-                self.stats.completed = self.sim.now
-                self.registry.notify_completion(self.stats)
+                stats.completed = now
+                self.registry.notify_completion(stats)
         elif seq > self.rcv_nxt:
-            self.stats.out_of_order += 1
+            stats.out_of_order += 1
             self._ooo_buffer.add(seq)
             # Reorder causality for span forensics: when this arrival
             # gap was opened by a path change, the span timeline shows
@@ -87,26 +89,32 @@ class TcpReceiver:
     def _advance(self, seq: int) -> int:
         """Deliver ``seq`` plus any now-contiguous buffered packets;
         returns the number of payload bytes delivered in order."""
-        delivered = self.flow.payload_of(seq)
-        self.rcv_nxt = seq + 1
-        while self.rcv_nxt in self._ooo_buffer:
-            self._ooo_buffer.discard(self.rcv_nxt)
-            delivered += self.flow.payload_of(self.rcv_nxt)
-            self.rcv_nxt += 1
+        flow = self.flow
+        delivered = flow.payload_of(seq)
+        nxt = seq + 1
+        ooo = self._ooo_buffer
+        while nxt in ooo:
+            ooo.discard(nxt)
+            delivered += flow.payload_of(nxt)
+            nxt += 1
+        self.rcv_nxt = nxt
         return delivered
 
     # -- ACK construction -------------------------------------------------
 
     def _send_data_ack(self, *, echo: bool) -> None:
+        flow = self.flow
+        rcv_nxt = self.rcv_nxt
+        stats = self.stats
         ack = Packet(
-            self.flow.id, self.flow.dst, self.flow.src, self.rcv_nxt, ACK_SIZE,
+            flow.id, flow.dst, flow.src, rcv_nxt, ACK_SIZE,
             is_ack=True, ecn_echo=echo,
         )
-        self.stats.acks_sent += 1
-        if self.rcv_nxt == self._last_ack_value:
-            self.stats.dup_acks_sent += 1
-            self.registry.notify_dupack(self.flow, self.sim.now)
-        self._last_ack_value = self.rcv_nxt
+        stats.acks_sent += 1
+        if rcv_nxt == self._last_ack_value:
+            stats.dup_acks_sent += 1
+            self.registry.notify_dupack(flow, self.sim._now)
+        self._last_ack_value = rcv_nxt
         self.host.send(ack)
 
     def _send_control_ack(self, *, syn: bool = False, fin: bool = False,

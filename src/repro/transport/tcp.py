@@ -141,7 +141,7 @@ class TcpSender:
 
     def start(self) -> None:
         """Open the connection by sending the SYN."""
-        self.stats.syn_sent = self.sim.now
+        self.stats.syn_sent = self.sim._now
         self._send_syn()
 
     def _send_syn(self) -> None:
@@ -177,8 +177,8 @@ class TcpSender:
         if pkt.syn:  # SYN-ACK completes the handshake
             if not self.established:
                 self.established = True
-                self.stats.established = self.sim.now
-                self.rto.sample(self.sim.now - self.stats.syn_sent)
+                now = self.stats.established = self.sim._now
+                self.rto.sample(now - self.stats.syn_sent)
                 self._arm_rto()
                 self._try_send()
             return
@@ -188,17 +188,19 @@ class TcpSender:
         self._handle_ack(pkt)
 
     def _handle_ack(self, pkt: Packet) -> None:
+        # Once per ACK: ``done`` is read as ``snd_una >= n`` in place.
         ack = pkt.seq  # cumulative: next expected data seq
-        if ack > self.n:
-            raise TransportError(f"flow {self.flow.id}: ack {ack} beyond {self.n}")
+        n = self.n
+        if ack > n:
+            raise TransportError(f"flow {self.flow.id}: ack {ack} beyond {n}")
         self._on_ecn_feedback(pkt)
         if ack > self.snd_una:
             self._on_new_ack(ack)
-        elif not self.done:
+        elif self.snd_una < n:
             self._on_dup_ack()
         self._try_send()
-        if self.done and not self.fin_sent:
-            self.stats.acked = self.sim.now
+        if self.snd_una >= n and not self.fin_sent:
+            self.stats.acked = self.sim._now
             self._send_fin()
 
     def _on_new_ack(self, ack: int) -> None:
@@ -207,11 +209,12 @@ class TcpSender:
         self.dupacks = 0
         # RTT sampling (Karn's rule: skip retransmitted segments).
         sample_seq = ack - 1
-        sent_at = self._send_times.pop(sample_seq, None)
-        for s in range(ack - newly, ack - 1):
-            self._send_times.pop(s, None)
+        send_times = self._send_times
+        sent_at = send_times.pop(sample_seq, None)
+        for s in range(ack - newly, sample_seq):
+            send_times.pop(s, None)
         if sent_at is not None and sample_seq not in self._retransmitted:
-            self.rto.sample(self.sim.now - sent_at)
+            self.rto.sample(self.sim._now - sent_at)
 
         if self.state == _FAST_RECOVERY:
             if ack >= self.recover:
@@ -225,7 +228,7 @@ class TcpSender:
         else:
             self._grow_window(newly)
 
-        if self.done:
+        if ack >= self.n:
             self._cancel_rto()
         else:
             self._arm_rto()
@@ -268,17 +271,20 @@ class TcpSender:
     def _try_send(self) -> None:
         if not self.established or self.closed:
             return
-        budget = int(self.effective_window) - self.in_flight
-        while budget > 0 and self.snd_nxt < self.n:
+        # effective_window and in_flight, read in place
+        budget = int(min(self.cwnd, self.max_cwnd)) - (self.snd_nxt - self.snd_una)
+        n = self.n
+        while budget > 0 and self.snd_nxt < n:
             self._transmit(self.snd_nxt, retransmission=False)
             self.snd_nxt += 1
             budget -= 1
 
     def _transmit(self, seq: int, *, retransmission: bool) -> None:
-        payload = self.flow.payload_of(seq)
+        flow = self.flow
         pkt = Packet(
-            self.flow.id, self.flow.src, self.flow.dst, seq,
-            payload + DEFAULT_HEADER, ecn_capable=self.config.ecn_capable,
+            flow.id, flow.src, flow.dst, seq,
+            flow.payload_of(seq) + DEFAULT_HEADER,
+            ecn_capable=self.config.ecn_capable,
         )
         self.stats.packets_sent += 1
         if retransmission:
@@ -292,7 +298,7 @@ class TcpSender:
                     flow=self.flow.id, seq=seq,
                 )
         else:
-            self._send_times[seq] = self.sim.now
+            self._send_times[seq] = self.sim._now
         self.host.send(pkt)
 
     def _retransmit(self, seq: int) -> None:
@@ -318,7 +324,7 @@ class TcpSender:
     # a lazily-deleted cancelled entry per ACK.
 
     def _arm_rto(self) -> None:
-        deadline = self.sim.now + self.rto.rto
+        deadline = self.sim._now + self.rto.rto
         self._rto_deadline = deadline
         ev = self._rto_event
         if ev is not None and not ev.cancelled:
@@ -339,7 +345,7 @@ class TcpSender:
         if self.closed:
             return
         deadline = self._rto_deadline
-        if self.sim.now < deadline:
+        if self.sim._now < deadline:
             # ACKs pushed the deadline past this check: re-arm, no timeout.
             self._rto_event = self.sim.schedule(deadline, self._check_rto)
             return

@@ -352,3 +352,59 @@ def test_cleanup_hooks_fire_under_profiler(sim):
     with pytest.raises(RuntimeError):
         sim.run()
     assert fired == ["hook"]
+
+
+# -- the one-event port's kernel contract ---------------------------------
+
+def test_cur_seq_names_the_running_event_and_its_calendar_position(sim):
+    """``(now, _cur_seq)`` is the position being executed: everything
+    scheduled earlier for this instant has run, nothing later has."""
+    import sys
+
+    assert sim._cur_seq == -1  # nothing has run yet
+    seen = []
+    sim.schedule_fast(1.0, lambda: seen.append(sim._cur_seq))   # seq 0
+    sim.schedule(1.0, lambda: seen.append(sim._cur_seq))        # seq 1
+    sim.schedule_fast(1.0, lambda: seen.append(sim._cur_seq))   # seq 2
+    sim.run()
+    assert seen == [0, 1, 2]
+    # a drained run has passed every position at its final clock
+    assert sim._cur_seq == sys.maxsize
+
+
+def test_cur_seq_after_until_stop_and_step(sim):
+    import sys
+
+    sim.schedule_fast(1.0, lambda: None)
+    sim.schedule_fast(1.0, sim.stop)
+    sim.schedule_fast(1.0, lambda: None)
+    sim.run(until=0.5)
+    assert (sim.now, sim._cur_seq) == (0.5, sys.maxsize)
+    sim.run()  # stops inside t=1.0 with one event of that instant pending
+    assert (sim.now, sim._cur_seq, sim.pending) == (1.0, 1, 1)
+    assert sim.step() and sim._cur_seq == 2
+
+
+def test_revoke_removes_exactly_one_fast_entry(sim):
+    fired = []
+    for i in range(50):
+        sim.schedule_fast(1.0 + (i * 7 % 13), fired.append, i)  # seq == i
+    sim.revoke(17)
+    assert sim.pending == 49
+    sim.run()
+    assert sorted(fired) == [i for i in range(50) if i != 17]
+    assert fired == sorted(fired, key=lambda i: (1.0 + (i * 7 % 13), i))
+
+
+def test_revoke_during_run_and_of_missing_entry(sim):
+    fired = []
+    sim.schedule_fast(1.0, lambda: sim.revoke(1))
+    sim.schedule_fast(2.0, fired.append, "revoked")
+    sim.schedule_fast(3.0, fired.append, "kept")
+    sim.run()
+    assert fired == ["kept"]
+    with pytest.raises(SimulationError):
+        sim.revoke(1)
+    ev = sim.schedule(4.0, fired.append, "cancellable")
+    with pytest.raises(SimulationError):
+        sim.revoke(ev.seq)  # Event entries are cancelled, not revoked

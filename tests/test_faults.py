@@ -358,3 +358,28 @@ def test_same_seed_faulted_runs_export_byte_identical_metrics(tmp_path):
         result = run_scenario(cfg)
         paths.append(write_metrics_json(tmp_path / name, [result.metrics]))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_usable_ports_is_cached_per_candidate_set_and_invalidated():
+    """Same ports, same order, same all-down fallback — without a list
+    rebuilt per packet."""
+    net = build_two_leaf_fabric(n_paths=4, hosts_per_leaf=2)
+    lb = _FirstPort()
+    ports = tuple(net.port_between("leaf0", f"spine{i}") for i in range(4))
+    other = ports[:3]
+    assert lb.usable_ports(ports) is ports      # nothing down: untouched
+    lb.path_down(ports[1])
+    live = lb.usable_ports(ports)
+    assert live == (ports[0], ports[2], ports[3])
+    assert lb.usable_ports(ports) is live       # second packet: a lookup
+    assert lb.usable_ports(list(ports)) is live  # lists are welcome too
+    assert lb.usable_ports(other) == (ports[0], ports[2])
+    lb.path_down(ports[0])                      # invalidates every set
+    assert lb.usable_ports(ports) == (ports[2], ports[3])
+    lb.path_down(ports[2])
+    assert lb.usable_ports(other) is other      # all of them down: fall back
+    lb.path_up(ports[1])
+    assert lb.usable_ports(ports) == (ports[1], ports[3])
+    lb.path_up(ports[0])
+    lb.path_up(ports[2])
+    assert lb.usable_ports(ports) is ports

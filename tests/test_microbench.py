@@ -98,3 +98,17 @@ def test_cli_micro_writes_json_and_compares(tmp_path, capsys):
                  "--repeats", "1", "--json", str(tmp_path / "micro3.json"),
                  "--baseline", str(tampered), "--require-identical"]) == 2
     assert "DETERMINISM DRIFT" in capsys.readouterr().err
+
+
+def test_packet_scenarios_are_judged_and_printed_in_packets_per_s():
+    """Fewer events per packet must not read as a slowdown."""
+    rows = [{"scenario": "leaf_spine", "throughput_events_per_s": 70_000,
+             "throughput_packets_per_s": 65_000, "checksum": "aa"}]
+    base = [{"scenario": "leaf_spine", "throughput_events_per_s": 100_000,
+             "throughput_packets_per_s": 50_000, "checksum": "aa"}]
+    warnings, drift = compare_to_baseline(rows, base)
+    assert warnings == [] and drift == []
+    assert "(1.30x baseline pkt/s, 0.70x ev/s)" in format_rows(rows)
+    rows[0]["throughput_packets_per_s"] = 25_000
+    warnings, _ = compare_to_baseline(rows, base)
+    assert len(warnings) == 1 and "packets" in warnings[0]

@@ -266,3 +266,73 @@ def test_invalid_configs_rejected(sim, sink):
         Port(sim, "p", 1e9, 0.0, sink, buffer_packets=0)
     with pytest.raises(ConfigError):
         Port(sim, "p", 1e9, 0.0, sink, ecn_threshold=0)
+
+
+# -- one event per hop -------------------------------------------------------
+
+def test_uncontended_hop_costs_one_event(sim, sink):
+    port = make_port(sim, sink)
+    for i in range(3):  # spaced beyond a serialisation: never queued
+        sim.schedule(i * 50e-6, port.enqueue, make_packet(seq=i))
+    sim.run()
+    assert len(sink.received) == 3
+    assert sim.events_processed == 3 + 3  # arrivals + deliveries, nothing else
+    assert port.stats.transmitted == 3
+    assert port.stats.busy_time == pytest.approx(36e-6)
+
+
+def test_queued_hop_arms_one_completion_per_busy_period_packet(sim, sink):
+    port = make_port(sim, sink)
+    for seq in range(4):  # back to back: three wait behind the first
+        port.enqueue(make_packet(seq=seq))
+    sim.run()
+    assert [p.seq for p in sink.received] == [0, 1, 2, 3]
+    # four deliveries + the three completions that started a next packet;
+    # the last serialisation ends with nothing waiting and needs no event
+    assert sim.events_processed == 4 + 3
+
+
+def test_counters_are_exact_without_a_completion_event(sim, sink):
+    """The lazy completion is settled by whoever looks first."""
+    port = make_port(sim, sink, delay=microseconds(100))
+    port.enqueue(make_packet(size=1500))       # serialises 0..12 us
+    sim.run(until=6e-6)
+    assert port.busy and port.stats.transmitted == 0
+    assert port.busy_time_now() == pytest.approx(6e-6)
+    sim.run(until=12e-6)                        # exactly _free_at
+    assert sim.events_processed == 0            # the delivery is at 112 us
+    assert not port.busy
+    assert port.stats.transmitted == 1
+    assert port.stats.bytes_transmitted == 1500
+    assert port.stats.busy_time == pytest.approx(12e-6)
+    assert port.snapshot()[1] == pytest.approx(12e-6)
+    sim.run()
+    assert len(sink.received) == 1 and port.stats.transmitted == 1
+
+
+def test_link_cut_mid_serialisation_revokes_the_scheduled_delivery(sim, sink):
+    port = make_port(sim, sink)
+    port.enqueue(make_packet(seq=0))
+    assert sim.pending == 1                     # the delivery
+    sim.run(until=5e-6)
+    port.fail("drop")
+    assert sim.pending == 1                     # now the armed completion
+    sim.run()
+    assert sink.received == []
+    assert port.stats.dropped == 1 and port.stats.transmitted == 0
+    assert port.stats.busy_time == pytest.approx(5e-6)
+    assert sim.now == pytest.approx(12e-6)
+
+
+def test_link_back_before_completion_still_delivers(sim, sink):
+    port = make_port(sim, sink)
+    port.enqueue(make_packet(seq=0))
+    sim.run(until=5e-6)
+    port.fail("park")
+    sim.run(until=7e-6)
+    port.recover()
+    sim.run()
+    assert [p.seq for p in sink.received] == [0]
+    assert sim.now == pytest.approx(22e-6)      # 12 us + 10 us, as uncut
+    assert port.stats.transmitted == 1 and port.stats.dropped == 0
+    assert port.stats.busy_time == pytest.approx(5e-6)  # pre-cut share only
