@@ -140,10 +140,16 @@ def plan_fleet(
 
 
 def fleet_status(fleet_dir: str | Path,
-                 clock: Callable[[], float] = time.time) -> dict:
-    """A plain-dict snapshot of the fleet for status lines and CLIs."""
+                 clock: Callable[[], float] = time.time, *,
+                 state: Optional[jn.FleetState] = None) -> dict:
+    """A plain-dict snapshot of the fleet for status lines and CLIs.
+
+    ``state`` lets a caller that already follows the journal skip the
+    re-read; by default the journal is folded once from disk.
+    """
     paths = jn.FleetPaths(Path(fleet_dir))
-    state = jn.load_state(paths.journal)
+    if state is None:
+        state = jn.load_state(paths.journal)
     now = clock()
     ttl = float(state.header.get("lease_ttl", 30.0)) if state.header else 30.0
     leases = []
@@ -296,7 +302,9 @@ def run_fleet(
                 max_reclaims=max_reclaims, backoff_base=backoff_base,
                 poll=poll, clock=clock, on_status=on_status,
                 status_interval=status_interval, inline_runner=inline_runner)
-    result = _collect(paths, cache, inline_runner, pre_done=pre_done)
+    journal = jn.JournalFollower(paths.journal, keep_records=True)
+    result = _collect(journal.refresh(), cache, inline_runner,
+                      pre_done=pre_done)
     # Mission control: metrics.prom + metrics.json beside the journal.
     # Folded from the journal, so the non-volatile document is a pure
     # function of what the fleet did — byte-identical across seeded
@@ -304,7 +312,7 @@ def run_fleet(
     try:
         from repro.fleet.observer import fleet_metrics
 
-        fleet_metrics(jn.read_records(paths.journal)).write_files(paths.root)
+        fleet_metrics(journal.records).write_files(paths.root)
     except OSError:
         pass  # metrics files are advisory; never fail a finished sweep
     return result
@@ -326,24 +334,24 @@ def _run_subprocess_fleet(paths, cache, n_workers, *, lease_ttl, max_attempts,
         FleetWorker(paths.root, cache=cache, runner=inline_runner,
                     poll=poll, clock=clock).run()
         return
+    follower = jn.JournalFollower(paths.journal)
     last_status = 0.0
     try:
         while True:
-            state = jn.load_state(paths.journal)
-            if not state.open_cells():
+            if follower.finished():
                 break
-            watchdog.scan(state, by="coordinator")
+            watchdog.scan(follower.state, by="coordinator")
             if on_status is not None:
                 now = time.monotonic()
                 if now - last_status >= status_interval:
                     last_status = now
-                    on_status(fleet_status(paths.root, clock=clock))
+                    on_status(fleet_status(paths.root, clock=clock,
+                                           state=follower.state))
             if all(proc.poll() is not None for proc in procs):
                 # Every worker exited with cells still open (all crashed,
                 # or all were externally drained): rescue inline so no
                 # cell is ever lost.
-                state = jn.load_state(paths.journal)
-                if state.open_cells():
+                if not follower.finished():
                     FleetWorker(paths.root, cache=cache,
                                 runner=inline_runner, poll=poll,
                                 clock=clock).run()
@@ -356,11 +364,11 @@ def _run_subprocess_fleet(paths, cache, n_workers, *, lease_ttl, max_attempts,
         _drain_workers(procs, timeout=10.0)
 
 
-def _collect(paths, cache, inline_runner, *, pre_done: set) -> FleetResult:
+def _collect(state: jn.FleetState, cache, inline_runner, *,
+             pre_done: set) -> FleetResult:
     """Grid-ordered results from the cache + journal failure rows."""
     from repro.experiments.runner import TaskFailure
 
-    state = jn.load_state(paths.journal)
     runner = inline_runner
     results: list = [None] * len(state.cells)
     failures: list = []

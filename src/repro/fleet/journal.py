@@ -17,16 +17,32 @@ The *plan* (header + cells) is written through a temporary file and
 leaves no journal at all, never a half-plan.  Runtime records are
 appended one fsync'd line at a time with ``O_APPEND``, which POSIX makes
 atomic for writes of this size; a process killed mid-append can at worst
-leave one torn trailing line, which :func:`read_records` detects and
-ignores (the cell it described merely looks unfinished and is re-run —
-correctness is never at stake because results live in the cache).
+leave one torn trailing line, which readers leave unconsumed (the cell
+it described merely looks unfinished and is re-run — correctness is
+never at stake because results live in the cache).
 
-Replaying the journal (:func:`fold`) is idempotent and order-tolerant
-within a cell: ``done`` is terminal, a fatal or attempt-exhausting
-``error`` is terminal, and everything else accumulates attempts and
-backoff.  Two workers racing the same cell (possible only after a
-lease reclaim) both write benign records — the deterministic result
-they race to produce is byte-identical by construction.
+Replaying the journal (:meth:`FleetState.apply`, one record at a time)
+is idempotent and order-tolerant within a cell: ``done`` is terminal, a
+fatal or attempt-exhausting ``error`` is terminal, and everything else
+accumulates attempts and backoff.  Two workers racing the same cell
+(possible only after a lease reclaim) both write benign records — the
+deterministic result they race to produce is byte-identical by
+construction.
+
+Reading
+-------
+There is one reader, :class:`JournalFollower`.  It remembers which file
+it read (``st_dev``, ``st_ino``), how many bytes of it, and the state
+folded so far; :meth:`~JournalFollower.refresh` reads only the bytes
+past that offset, so polling a journal costs the records appended since
+the last poll, not the whole file.  Only whole lines are consumed: an
+unterminated tail (torn, or still being written) stays unread until a
+later append completes or heals it.  A different inode or a shorter
+file starts the follower over from byte 0.  What a follower cannot see
+— the journal replaced by a longer file that was handed the same inode
+number — is why :meth:`~JournalFollower.finished` re-reads from byte 0
+before it reports that no cell is open.  :func:`load_state` and
+:func:`read_records` are followers that refresh once.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, ValuesView
 
 from repro.errors import FleetError
 
@@ -47,6 +63,7 @@ __all__ = [
     "CellState",
     "FleetPaths",
     "FleetState",
+    "JournalFollower",
     "append_record",
     "callable_spec",
     "config_from_json",
@@ -204,50 +221,18 @@ def append_record(path: Path, record: dict) -> None:
     stays lost (safe: the fold treats it as still-pending) but this
     record, and every one after it, survives.  The probe races benignly
     with concurrent appenders: the worst case is an extra blank line,
-    which ``read_records`` skips.
+    which readers skip.
     """
     line = (json.dumps(record, sort_keys=True) + "\n").encode()
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644)
     try:
-        try:
-            with open(path, "rb") as probe:
-                probe.seek(0, os.SEEK_END)
-                if probe.tell() > 0:
-                    probe.seek(-1, os.SEEK_END)
-                    if probe.read(1) != b"\n":
-                        line = b"\n" + line
-        except OSError:  # pragma: no cover - probe is best-effort
-            pass
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = b"\n" + line
         os.write(fd, line)
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def read_records(path: Path) -> list[dict]:
-    """Every well-formed journal record, tolerating a torn tail.
-
-    A record that does not parse is skipped; only the *final* line may
-    legitimately be torn (killed mid-append), but skipping any malformed
-    line is safe because records are self-describing and the fold treats
-    a missing lifecycle record as "still pending".
-    """
-    records: list[dict] = []
-    try:
-        raw = path.read_text()
-    except FileNotFoundError:
-        return records
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and "kind" in record:
-            records.append(record)
-    return records
 
 
 # -- replay ----------------------------------------------------------------
@@ -291,12 +276,17 @@ class FleetState:
     cells: dict[str, CellState] = field(default_factory=dict)
     #: per-worker drain records (worker id → signal name)
     drained: dict[str, str] = field(default_factory=dict)
+    #: the open cells, kept in grid order as records are applied
+    _open: dict[str, CellState] = field(
+        default_factory=dict, repr=False, compare=False)
+    _last_index: int = field(default=-1, repr=False, compare=False)
 
     def ordered(self) -> list[CellState]:
         return sorted(self.cells.values(), key=lambda c: c.index)
 
-    def open_cells(self) -> list[CellState]:
-        return [c for c in self.ordered() if c.open]
+    def open_cells(self) -> ValuesView[CellState]:
+        """The pending cells in grid order: a live view, not a copy."""
+        return self._open.values()
 
     def counts(self) -> dict[str, int]:
         out = {DONE: 0, FAILED: 0, PENDING: 0}
@@ -316,34 +306,31 @@ class FleetState:
     def config_for(self, cell: CellState) -> Any:
         return config_from_json(self.config_type(), cell.config)
 
-
-def fold(records: Iterable[dict]) -> FleetState:
-    """Replay journal records into a :class:`FleetState`."""
-    state = FleetState()
-    for record in records:
+    def apply(self, record: dict) -> None:
+        """Fold one journal record into this state."""
         kind = record.get("kind")
         if kind == "fleet":
-            state.header = record
-            continue
+            self.header = record
+            return
         if kind == "drain":
-            state.drained[str(record.get("worker", ""))] = \
+            self.drained[str(record.get("worker", ""))] = \
                 str(record.get("signal", ""))
-            continue
+            return
         key = record.get("cell")
         if not key:
-            continue
+            return
         if kind == "cell":
-            state.cells[key] = CellState(
+            self._plan_cell(CellState(
                 key=key,
-                index=int(record.get("index", len(state.cells))),
+                index=int(record.get("index", len(self.cells))),
                 config=record.get("config", {}),
                 cached=bool(record.get("cached", False)),
                 status=DONE if record.get("cached") else PENDING,
-            )
-            continue
-        cell = state.cells.get(key)
+            ))
+            return
+        cell = self.cells.get(key)
         if cell is None or cell.status == DONE:
-            continue  # unknown cell, or done is terminal
+            return  # unknown cell, or done is terminal
         if kind == "claim":
             cell.worker = str(record.get("worker", ""))
         elif kind == "done":
@@ -369,12 +356,111 @@ def fold(records: Iterable[dict]) -> FleetState:
             if record.get("terminal"):
                 cell.status = FAILED
                 cell.fatal = bool(record.get("fatal", False))
+        if not cell.open:
+            self._open.pop(key, None)
+
+    def _plan_cell(self, cell: CellState) -> None:
+        # write_plan emits new keys with rising indices, so appending
+        # keeps ``_open`` in grid order; anything else re-derives it.
+        in_order = cell.key not in self.cells and cell.index > self._last_index
+        self.cells[cell.key] = cell
+        if in_order:
+            self._last_index = cell.index
+            if cell.open:
+                self._open[cell.key] = cell
+        else:
+            self._last_index = max(self._last_index, cell.index)
+            self._open = {c.key: c for c in self.ordered() if c.open}
+
+
+def fold(records: Iterable[dict]) -> FleetState:
+    """Replay journal records into a :class:`FleetState`."""
+    state = FleetState()
+    for record in records:
+        state.apply(record)
     return state
+
+
+# -- reading ---------------------------------------------------------------
+
+class JournalFollower:
+    """Folds a journal incrementally: each refresh reads only its new tail.
+
+    ``state`` is the fold of every whole line consumed so far, and
+    ``records`` those records themselves when ``keep_records`` is set
+    (mission control rebuilds timelines from them; workers do not).
+    """
+
+    def __init__(self, path: Path, *, keep_records: bool = False):
+        self.path = Path(path)
+        self.keep_records = keep_records
+        self._start_over(None)
+
+    def _start_over(self, ident: Optional[tuple[int, int]]) -> None:
+        self.state = FleetState()
+        self.records: list[dict] = []
+        self._ident = ident
+        self._offset = 0
+
+    def refresh(self) -> FleetState:
+        """Consume the whole lines appended since the last refresh.
+
+        A missing journal is an empty state.  A record that does not
+        decode or parse is skipped: only the final line can legitimately
+        be torn, but skipping any malformed line is safe because records
+        are self-describing and a missing lifecycle record reads as
+        "still pending".
+        """
+        try:
+            fh = self.path.open("rb")
+        except FileNotFoundError:
+            self._start_over(None)
+            return self.state
+        with fh:
+            st = os.fstat(fh.fileno())
+            ident = (st.st_dev, st.st_ino)
+            if ident != self._ident or st.st_size < self._offset:
+                self._start_over(ident)
+            if st.st_size == self._offset:
+                return self.state
+            fh.seek(self._offset)
+            data = fh.read()
+        whole = data.rfind(b"\n") + 1
+        self._offset += whole
+        for line in data[:whole].splitlines():
+            try:
+                record = json.loads(line.decode())
+            except ValueError:  # UnicodeDecodeError is one
+                continue
+            if isinstance(record, dict) and "kind" in record:
+                self.state.apply(record)
+                if self.keep_records:
+                    self.records.append(record)
+        return self.state
+
+    def finished(self) -> bool:
+        """True when no cell is open, confirmed by a from-zero fold.
+
+        The confirmation is what lets a follower end a sweep: a journal
+        replaced behind its back by a longer file with a recycled inode
+        number would otherwise go unnoticed.
+        """
+        if self.refresh().open_cells():
+            return False
+        self._start_over(None)
+        return not self.refresh().open_cells()
+
+
+def read_records(path: Path) -> list[dict]:
+    """Every well-formed record in the journal's whole lines."""
+    follower = JournalFollower(path, keep_records=True)
+    follower.refresh()
+    return follower.records
 
 
 def load_state(path: Path) -> FleetState:
     """Read and fold the journal at ``path`` (missing → empty state)."""
-    return fold(read_records(path))
+    return JournalFollower(path).refresh()
 
 
 def new_header(*, runner_spec: str, config_type_spec: str, fingerprint: str,

@@ -3,7 +3,9 @@
 The fleet fabric already journals everything that happens (claims,
 completions, errors, reclaims) and every worker heartbeats a status
 file, but PR 7 left reading those artefacts to humans with ``grep``.
-:class:`FleetObserver` folds both into a :class:`FleetView`:
+:class:`FleetObserver` folds both into a :class:`FleetView` (it holds a
+:class:`~repro.fleet.journal.JournalFollower`, so a refresh parses only
+what was journaled since the last one):
 
 * per-worker timelines (claim → done/error spans, the swimlanes of
   ``repro fleet report --html``),
@@ -208,6 +210,8 @@ class FleetObserver:
                  straggler_factor: float = 3.0,
                  straggler_min: float = 0.5):
         self.paths = jn.FleetPaths(Path(fleet_dir))
+        self._journal = jn.JournalFollower(self.paths.journal,
+                                           keep_records=True)
         self.clock = clock
         self.mono = mono
         self.straggler_factor = straggler_factor
@@ -240,9 +244,9 @@ class FleetObserver:
     # -- the fold ----------------------------------------------------------
 
     def refresh(self) -> FleetView:
-        """Re-read journal + status files and rebuild the view."""
-        records = jn.read_records(self.paths.journal)
-        state = jn.fold(records)
+        """Read the journal's new tail + status files; rebuild the view."""
+        state = self._journal.refresh()
+        records = self._journal.records
         now_wall = self.clock()
         now_mono = self.mono()
         ttl = float(state.header.get("lease_ttl", 30.0)) \

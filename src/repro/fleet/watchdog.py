@@ -58,7 +58,7 @@ class Watchdog:
         """Reclaim every stale lease; returns the reclaimed cell keys.
 
         ``state`` is the caller's current journal fold (used for attempt
-        counts); the caller should re-fold after a non-empty scan.
+        counts); the caller should refresh it after a non-empty scan.
         """
         reclaimed: list[str] = []
         now = self.clock()

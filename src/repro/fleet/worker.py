@@ -5,14 +5,16 @@ exists, the lease says who is computing it, and the result cache holds
 everything finished.  The loop is::
 
     while not draining:
-        fold the journal
-        pick a pending cell whose backoff has passed; try its lease
+        refresh the journal follower (reads only what was appended)
+        walk the pending cells in grid order; try the lease of the
+          first whose backoff has passed
         claimed?  probe the cache first (another fleet may have computed
           it) — a hit journals ``done`` without running anything;
           otherwise run the cell under a heartbeat thread, write the
           result to the cache *first*, then journal ``done``, then
           release the lease
         nothing claimable?  run the watchdog, then sleep one poll
+        nothing pending?  confirm with a from-zero fold, then stop
 
 Crash ordering: the cache write precedes the ``done`` record, so a
 worker killed between the two leaves a stale lease; the reclaiming
@@ -44,7 +46,7 @@ import time
 import traceback as _traceback
 import uuid
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.errors import FleetError
 from repro.fleet import journal as jn
@@ -115,7 +117,8 @@ class FleetWorker:
         clock: Callable[[], float] = time.time,
     ):
         self.paths = jn.FleetPaths(Path(fleet_dir)).ensure()
-        state = jn.load_state(self.paths.journal)
+        self._follower = jn.JournalFollower(self.paths.journal)
+        state = self._follower.refresh()
         if not state.header:
             raise FleetError(f"no fleet journal in {fleet_dir}")
         self.header = state.header
@@ -295,9 +298,9 @@ class FleetWorker:
 
     # -- the loop ----------------------------------------------------------
 
-    def _claimable(self, state: jn.FleetState) -> list[jn.CellState]:
+    def _claimable(self, state: jn.FleetState) -> Iterator[jn.CellState]:
         now = self.clock()
-        return [c for c in state.open_cells() if c.not_before <= now]
+        return (c for c in state.open_cells() if c.not_before <= now)
 
     def run(self) -> int:
         """Work until the fleet is finished or a drain is requested.
@@ -308,9 +311,9 @@ class FleetWorker:
         self._write_status("idle")
         try:
             while not self.draining:
-                state = jn.load_state(self.paths.journal)
-                if not state.open_cells():
+                if self._follower.finished():
                     break  # every cell is terminal: the fleet is done
+                state = self._follower.state
                 progressed = False
                 for cell in self._claimable(state):
                     if self.draining:
@@ -321,7 +324,7 @@ class FleetWorker:
                         continue
                     self._run_cell(cell, got)
                     progressed = True
-                    break  # re-fold: the world may have moved on
+                    break  # refresh: the world may have moved on
                 if progressed or self.draining:
                     continue
                 # Nothing claimable: other workers hold the rest, or

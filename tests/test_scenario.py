@@ -166,3 +166,23 @@ def test_format_table_alignment():
     assert len(lines) == 5
     # columns aligned: every row same width
     assert len(set(len(l) for l in lines[2:])) <= 2
+
+
+def test_running_a_scenario_does_not_import_scipy():
+    """scipy serves only the CI half-width in ``experiments.stats``; every
+    run, pool worker and fleet worker would otherwise pay its import."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import repro.experiments.common, repro.experiments.runner\n"
+        "import repro.cache\n"
+        "from repro.experiments.common import ScenarioConfig, run_scenario\n"
+        f"run_scenario(ScenarioConfig(scheme='ecmp', **{SMALL!r}))\n"
+        "sys.exit('scipy' in sys.modules)\n")
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
