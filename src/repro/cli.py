@@ -11,6 +11,10 @@ Commands
     stream a JSONL trace with ``--trace``, profile with ``--telemetry``).
 ``sweep``
     Load sweep across schemes (``--progress`` prints a heartbeat + ETA).
+    ``sweep`` and ``fleet run`` take the same grid flags, build the same
+    cells and — with ``fleet resume``, which has only the journal — end
+    in the same report, so tables, CSV and manifest agree by
+    construction; a cell that failed or never finished renders ``-``.
 ``figure``
     Regenerate one paper figure's table (reduced scale).
 ``model``
@@ -121,6 +125,41 @@ def _cache_from_args(args: argparse.Namespace):
     return ResultCache(args.cache_dir)
 
 
+def _add_grid_args(parser: argparse.ArgumentParser, *, progress_help: str,
+                   retries_help: str) -> None:
+    """The (scheme × load) grid flags of ``sweep`` and ``fleet run``
+    (see :func:`_grid_configs`)."""
+    parser.add_argument("--schemes", nargs="+", default=["ecmp", "rps", "tlb"])
+    parser.add_argument("--loads", nargs="+", type=float,
+                        default=[0.2, 0.5, 0.8])
+    parser.add_argument("--sizes", choices=("web_search", "data_mining"),
+                        default="web_search")
+    parser.add_argument("--workload", default=None, metavar="SPEC",
+                        help="workload scenario spec for every cell (default:"
+                        " poisson; see `repro workloads`)")
+    parser.add_argument("--flows", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--faults", metavar="SPEC", default="",
+                        help="inject this fault schedule into every run")
+    parser.add_argument("--csv", help="write one row per (scheme, load)")
+    parser.add_argument("--retries", type=int, default=1, help=retries_help)
+    parser.add_argument("--progress", action="store_true", help=progress_help)
+
+
+def _grid_configs(args: argparse.Namespace) -> list:
+    """The cells the grid flags describe, in grid order."""
+    from repro.experiments.largescale import default_config, load_grid
+
+    config = default_config(args.sizes, n_flows=args.flows, seed=args.seed)
+    if args.workload:
+        # Scenario grids need a multi-leaf fabric for cross-leaf skew.
+        config = config.with_(workload=args.workload, n_leaves=4,
+                              hosts_per_leaf=16)
+    if args.faults:
+        config = config.with_(faults=args.faults)
+    return load_grid(config, args.schemes, args.loads)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
@@ -191,23 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_args(fig)
 
     sw = sub.add_parser("sweep", help="load sweep across schemes, CSV out")
-    sw.add_argument("--schemes", nargs="+", default=["ecmp", "rps", "tlb"])
-    sw.add_argument("--loads", nargs="+", type=float, default=[0.2, 0.5, 0.8])
-    sw.add_argument("--sizes", choices=("web_search", "data_mining"),
-                    default="web_search")
-    sw.add_argument("--workload", default=None, metavar="SPEC",
-                    help="workload scenario spec for every cell (default:"
-                    " poisson; see `repro workloads`)")
-    sw.add_argument("--flows", type=int, default=100)
-    sw.add_argument("--seed", type=int, default=1)
-    sw.add_argument("--csv", help="write one row per (scheme, load)")
+    _add_grid_args(
+        sw, progress_help="print per-task completion and ETA to stderr",
+        retries_help="retry budget per crashed/wedged run (default 1)")
     sw.add_argument("--processes", type=int, default=None)
-    sw.add_argument("--progress", action="store_true",
-                    help="print per-task completion and ETA to stderr")
-    sw.add_argument("--faults", metavar="SPEC", default="",
-                    help="inject this fault schedule into every run")
-    sw.add_argument("--retries", type=int, default=1,
-                    help="retry budget per crashed/wedged run (default 1)")
     sw.add_argument("--chunksize", type=int, default=None, metavar="N",
                     help="scenarios per worker round-trip (default: auto)")
     _add_cache_args(sw)
@@ -222,30 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fleet directory holding the journal, leases,"
                       " and worker heartbeats; rerunning with the same"
                       " directory resumes with zero recomputation")
-    frun.add_argument("--schemes", nargs="+", default=["ecmp", "rps", "tlb"])
-    frun.add_argument("--loads", nargs="+", type=float,
-                      default=[0.2, 0.5, 0.8])
-    frun.add_argument("--sizes", choices=("web_search", "data_mining"),
-                      default="web_search")
-    frun.add_argument("--workload", default=None, metavar="SPEC",
-                      help="workload scenario spec for every cell (default:"
-                      " poisson; see `repro workloads`)")
-    frun.add_argument("--flows", type=int, default=100)
-    frun.add_argument("--seed", type=int, default=1)
-    frun.add_argument("--faults", metavar="SPEC", default="",
-                      help="inject this fault schedule into every run")
-    frun.add_argument("--csv", help="write one row per (scheme, load)")
+    _add_grid_args(
+        frun, progress_help="print a fleet heartbeat to stderr",
+        retries_help="error-retry budget per cell (default 1);"
+        " worker crashes are budgeted separately")
     frun.add_argument("--workers", type=int, default=None,
                       help="worker subprocesses (0 = one inline worker,"
                       " no subprocess; default: auto)")
-    frun.add_argument("--retries", type=int, default=1,
-                      help="error-retry budget per cell (default 1);"
-                      " worker crashes are budgeted separately")
     frun.add_argument("--lease-ttl", type=float, default=30.0, metavar="SEC",
                       help="heartbeat TTL before a dead worker's lease is"
                       " reclaimed (default 30)")
-    frun.add_argument("--progress", action="store_true",
-                      help="print a fleet heartbeat to stderr")
     frun.add_argument("--cache-dir", metavar="DIR", default=None,
                       help="shared result cache (default $REPRO_CACHE_DIR"
                       " or ~/.cache/repro); the fleet always caches")
@@ -551,56 +563,63 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.largescale import (
-        default_config, sweep_row, tabulate)
-    from repro.experiments.runner import TaskFailure, run_many
-    from repro.metrics.export import write_metrics_csv
+    from repro.experiments.runner import run_many
 
-    config = default_config(args.sizes, n_flows=args.flows, seed=args.seed)
-    if args.workload:
-        # Scenario grids need a multi-leaf fabric for cross-leaf skew.
-        config = config.with_(workload=args.workload, n_leaves=4,
-                              hosts_per_leaf=16)
-    if args.faults:
-        config = config.with_(faults=args.faults)
+    configs = _grid_configs(args)
     cache = _cache_from_args(args)
-    grid = [(s, l) for s in args.schemes for l in args.loads]
-    configs = [config.with_(scheme=s, load=l) for s, l in grid]
     results = run_many(configs, processes=args.processes,
                        progress=args.progress, label="sweep",
                        on_error="record", retries=args.retries,
                        cache=cache, chunksize=args.chunksize)
-    ok = [((s, l), m) for (s, l), m in zip(grid, results)
-          if not isinstance(m, TaskFailure)]
-    failed = [((s, l), m) for (s, l), m in zip(grid, results)
-              if isinstance(m, TaskFailure)]
-    rows = [sweep_row(s, l, m) for (s, l), m in ok]
-    print(tabulate(rows, args.sizes))
-    n_cached = cache.hits if cache is not None else 0
-    print(f"sweep: {len(grid)} row(s) — "
-          f"{len(ok) - n_cached} computed, {n_cached} cached,"
-          f" {len(failed)} failed", file=sys.stderr)
-    for (s, l), f in failed:
-        print(f"FAILED scheme={s} load={l:g} after {f.attempts} attempt(s):"
-              f" {f.error}", file=sys.stderr)
-    if args.csv and ok:
+    code, wrote = _emit_grid(
+        "sweep", configs, results, args.csv,
+        cached=cache.hits if cache is not None else 0,
+        extra={"cache": cache.session_summary()} if cache is not None else {})
+    if wrote:
+        _write_metrics_beside(args.csv)
+    return code
+
+
+def _emit_grid(label: str, configs: list, results: list, csv: Optional[str],
+               *, cached: int, extra: dict) -> tuple[int, bool]:
+    """The one report of a (scheme × load) grid — ``sweep``, ``fleet
+    run`` and ``fleet resume`` all end here, so their artefacts are
+    identical by construction: panels, summary line, one ``FAILED`` line
+    per failed cell, and (``csv``) the finished cells' CSV + manifest.
+    Every label comes from the cell's config; a ``None`` result is a
+    cell that never finished (it renders ``-``).  ``cached`` of the
+    finished cells were not computed by this invocation.  Returns the
+    exit code and whether the CSV was written."""
+    from repro.experiments.largescale import sweep_row, tabulate
+    from repro.experiments.runner import TaskFailure
+
+    cells = list(zip(configs, results))
+    ok = [(c, m) for c, m in cells
+          if m is not None and not isinstance(m, TaskFailure)]
+    failed = [(c, m) for c, m in cells if isinstance(m, TaskFailure)]
+    print(tabulate([sweep_row(c.scheme, c.load, m) for c, m in ok],
+                   configs[0].sizes if configs else "web_search"))
+    print(f"{label}: {len(cells)} row(s) — {len(ok) - cached} computed,"
+          f" {cached} cached, {len(failed)} failed", file=sys.stderr)
+    for c, f in failed:
+        print(f"FAILED scheme={c.scheme} load={c.load:g} after"
+              f" {f.attempts} attempt(s): {f.error}", file=sys.stderr)
+    if csv and ok:
+        from repro.metrics.export import write_metrics_csv
         from repro.obs import build_manifest
 
-        extra = {"sweep": {"schemes": list(args.schemes),
-                           "loads": list(args.loads),
-                           "failed": [{"scheme": s, "load": l,
-                                       "error": f.error}
-                                      for (s, l), f in failed]}}
-        if cache is not None:
-            extra["cache"] = cache.session_summary()
-        manifest = build_manifest(config, counters=None, extra=extra)
-        path = write_metrics_csv(
-            args.csv, [m for _, m in ok],
-            extra_columns=[{"load": l, "swept_scheme": s} for (s, l), _ in ok],
-            manifest=manifest)
-        print("wrote", path)
-        _write_metrics_beside(args.csv)
-    return 1 if failed and not ok else 0
+        sweep = {"schemes": list(dict.fromkeys(c.scheme for c in configs)),
+                 "loads": list(dict.fromkeys(c.load for c in configs)),
+                 "failed": [{"scheme": c.scheme, "load": c.load,
+                             "error": f.error} for c, f in failed]}
+        manifest = build_manifest(configs[0], counters=None,
+                                  extra={"sweep": sweep, **extra})
+        print("wrote", write_metrics_csv(
+            csv, [m for _, m in ok],
+            extra_columns=[{"load": c.load, "swept_scheme": c.scheme}
+                           for c, _ in ok],
+            manifest=manifest))
+    return (1 if failed and not ok else 0), bool(csv and ok)
 
 
 def _json_safe(obj):
@@ -733,35 +752,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_fleet_run(args: argparse.Namespace, *, resume: bool) -> int:
     from repro.cache import ResultCache
     from repro.fleet import run_fleet
-    from repro.obs.progress import format_fleet_heartbeat
+    from repro.obs.progress import fleet_heartbeat_printer
 
-    cache = ResultCache(args.cache_dir)
-    on_status = None
-    if args.progress:
-        def on_status(status: dict) -> None:
-            print(format_fleet_heartbeat(status, label="fleet"),
-                  file=sys.stderr, flush=True)
     if resume:
         configs = None
         kwargs = {}
     else:
-        from repro.experiments.largescale import default_config
-
-        config = default_config(args.sizes, n_flows=args.flows,
-                                seed=args.seed)
-        if args.workload:
-            config = config.with_(workload=args.workload, n_leaves=4,
-                                  hosts_per_leaf=16)
-        if args.faults:
-            config = config.with_(faults=args.faults)
-        configs = [config.with_(scheme=s, load=l)
-                   for s in args.schemes for l in args.loads]
+        configs = _grid_configs(args)
         kwargs = dict(max_attempts=1 + args.retries,
                       lease_ttl=args.lease_ttl)
     try:
-        result = run_fleet(configs, fleet_dir=args.dir, cache=cache,
-                           workers=args.workers, on_status=on_status,
-                           **kwargs)
+        result = run_fleet(
+            configs, fleet_dir=args.dir, cache=ResultCache(args.cache_dir),
+            workers=args.workers, on_status=(
+                fleet_heartbeat_printer("fleet") if args.progress else None),
+            **kwargs)
     except KeyboardInterrupt:
         # Workers were drained gracefully (each finished and cached its
         # current cell); exit 0 so `repro fleet run … && repro fleet
@@ -769,52 +774,18 @@ def _cmd_fleet_run(args: argparse.Namespace, *, resume: bool) -> int:
         print(f"fleet: interrupted — workers drained; resume with"
               f" `repro fleet resume --dir {args.dir}`", file=sys.stderr)
         return 0
-    return _emit_fleet_result(args, result)
-
-
-def _emit_fleet_result(args: argparse.Namespace, result) -> int:
-    """Tabulate + CSV, byte-identical to ``repro sweep`` on the same grid."""
-    from repro.experiments.largescale import sweep_row, tabulate
-    from repro.experiments.runner import TaskFailure
-    from repro.metrics.export import write_metrics_csv
-
+    # The journal is the plan: the same report as `repro sweep`, from
+    # nothing but the configs it recorded.
     state = result.state
-    cells = state.ordered()
-    configs = [state.config_for(cell) for cell in cells]
-    grid = [(c.scheme, c.load) for c in configs]
-    sizes = configs[0].sizes if configs else "web_search"
-    ok = [((s, l), m) for (s, l), m in zip(grid, result.results)
-          if m is not None and not isinstance(m, TaskFailure)]
-    failed = [((s, l), m) for (s, l), m in zip(grid, result.results)
-              if isinstance(m, TaskFailure)]
-    rows = [sweep_row(s, l, m) for (s, l), m in ok]
-    print(tabulate(rows, sizes))
-    print(f"fleet: {len(grid)} row(s) — {result.computed} computed,"
-          f" {result.cached} cached, {len(failed)} failed", file=sys.stderr)
-    for (s, l), f in failed:
-        print(f"FAILED scheme={s} load={l:g} after {f.attempts} attempt(s):"
-              f" {f.error}", file=sys.stderr)
+    code, wrote = _emit_grid(
+        "fleet", [state.config_for(cell) for cell in state.ordered()],
+        result.results, args.csv, cached=result.cached,
+        extra={"fleet": {"dir": str(args.dir), "computed": result.computed,
+                         "cached": result.cached}})
     if not result.complete:
         print(f"fleet: incomplete — resume with"
               f" `repro fleet resume --dir {args.dir}`", file=sys.stderr)
-    if args.csv and ok:
-        from repro.obs import build_manifest
-
-        extra = {"sweep": {"schemes": sorted({s for s, _ in grid}),
-                           "loads": sorted({l for _, l in grid}),
-                           "failed": [{"scheme": s, "load": l,
-                                       "error": f.error}
-                                      for (s, l), f in failed]},
-                 "fleet": {"dir": str(args.dir),
-                           "computed": result.computed,
-                           "cached": result.cached}}
-        manifest = build_manifest(configs[0], counters=None, extra=extra)
-        path = write_metrics_csv(
-            args.csv, [m for _, m in ok],
-            extra_columns=[{"load": l, "swept_scheme": s}
-                           for (s, l), _ in ok],
-            manifest=manifest)
-        print("wrote", path)
+    if wrote:
         # Fleet metrics fold the journal (not this process's registry),
         # so subprocess workers' activity is fully accounted.
         from pathlib import Path
@@ -826,7 +797,7 @@ def _emit_fleet_result(args: argparse.Namespace, result) -> int:
         for mpath in fleet_metrics(records).write_files(
                 Path(args.csv).resolve().parent):
             print("wrote", mpath)
-    return 1 if failed and not ok else 0
+    return code
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:

@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.experiments.common import ScenarioConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import panel_tables
 from repro.experiments.runner import run_many
-from repro.experiments.testbed import scheme_params_for, testbed_config
+from repro.experiments.testbed import (
+    normalised_panels, scheme_params_for, testbed_config)
 from repro.sim.rng import RngRegistry
 
 __all__ = ["AsymmetryRow", "degraded_pair", "run_asymmetry_sweep", "main"]
@@ -118,32 +119,12 @@ def run_asymmetry_sweep(
 
 def tabulate(rows: Sequence[AsymmetryRow], kind: str) -> str:
     """Render normalised AFCT and long throughput panels."""
-    schemes = sorted({r.scheme for r in rows})
-    xs = sorted({r.x for r in rows})
-    cell = {(r.scheme, r.x): r for r in rows}
-    fig = "16" if kind == "delay" else "17"
-    xlabel = "extra_delay_ms" if kind == "delay" else "rate_factor"
-
-    def xval(x: float) -> float:
-        return x * 1e3 if kind == "delay" else x
-
-    ref = {x: cell[("tlb", x)].short_afct for x in xs if ("tlb", x) in cell}
-    t_a = format_table(
-        [xlabel] + list(schemes),
-        [[xval(x)] + [
-            cell[(s, x)].short_afct / ref[x]
-            if x in ref and ref[x] == ref[x] else float("nan")
-            for s in schemes]
-         for x in xs],
-        title=f"Fig. {fig} (a) — AFCT of short flows, normalised to TLB",
-    )
-    t_b = format_table(
-        [xlabel] + list(schemes),
-        [[xval(x)] + [cell[(s, x)].long_goodput_bps / 1e6 for s in schemes]
-         for x in xs],
-        title=f"Fig. {fig} (b) — average throughput of long flows (Mbps)",
-    )
-    return t_a + "\n\n" + t_b
+    delay = kind == "delay"
+    return panel_tables(
+        rows, x=lambda r: r.x * 1e3 if delay else r.x,
+        series=lambda r: r.scheme, panels=normalised_panels(rows),
+        x_header="extra_delay_ms" if delay else "rate_factor",
+        title=f"Fig. {'16' if delay else '17'}")
 
 
 def main(kind: str = "delay",

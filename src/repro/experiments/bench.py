@@ -111,12 +111,12 @@ def run_cache_bench(
     (compared via their canonical JSON export form).
     """
     from repro.cache import ResultCache
-    from repro.experiments.largescale import default_config
+    from repro.experiments.largescale import default_config, load_grid
     from repro.experiments.runner import run_many
 
-    base = default_config("web_search", n_flows=n_flows, seed=seed)
-    grid = [(s, l) for s in schemes for l in loads]
-    configs = [base.with_(scheme=s, load=l) for s, l in grid]
+    configs = load_grid(
+        default_config("web_search", n_flows=n_flows, seed=seed),
+        schemes, loads)
     root = Path(cache_dir) if cache_dir is not None else Path(
         tempfile.mkdtemp(prefix="repro-cache-bench-"))
 

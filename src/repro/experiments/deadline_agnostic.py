@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro.experiments.common import ScenarioConfig
 from repro.experiments.largescale import default_config as websearch_config
-from repro.experiments.report import format_table
+from repro.experiments.report import FCT_PANELS, fct_fields, panel_tables
 from repro.experiments.runner import run_many
 from repro.workload.deadlines import UniformDeadlines
 
@@ -76,10 +76,7 @@ def run_percentile_sweep(
             percentile=p,
             assumed_deadline=d,
             load=load,
-            short_afct=m.short_fct.mean,
-            short_p99=m.short_fct.p99,
-            deadline_miss=m.deadline_miss,
-            long_goodput_bps=m.long_goodput_bps,
+            **fct_fields(m),
             long_reroutes=int(m.extras.get("long_reroutes", 0)),
         )
         for (p, d, load), m in zip(grid, metrics)
@@ -88,24 +85,13 @@ def run_percentile_sweep(
 
 def tabulate(rows: Sequence[AgnosticRow]) -> str:
     """Render the four Fig. 12 panels."""
-    percentiles = sorted({r.percentile for r in rows})
-    loads = sorted({r.load for r in rows})
-    cell = {(r.percentile, r.load): r for r in rows}
-    headers = ["load"] + [f"TLB-{int(p)}th" for p in percentiles]
-    panels = [
-        ("(a) AFCT of short flows (ms)", lambda r: r.short_afct * 1e3),
-        ("(b) 99th percentile FCT (ms)", lambda r: r.short_p99 * 1e3),
-        ("(c) missed deadlines (%)", lambda r: r.deadline_miss * 100),
-        ("(d) throughput of long flows (Mbps)", lambda r: r.long_goodput_bps / 1e6),
-    ]
-    out = []
-    for title, getter in panels:
-        table_rows = [
-            [load] + [getter(cell[(p, load)]) for p in percentiles]
-            for load in loads
-        ]
-        out.append(format_table(headers, table_rows, title=f"Fig. 12 {title}"))
-    return "\n\n".join(out)
+    # Fig. 12 titles its (b) panel without "of short flows"
+    a, (_, p99), c, d = FCT_PANELS
+    return panel_tables(
+        rows, x=lambda r: r.load, series=lambda r: r.percentile,
+        series_header=lambda p: f"TLB-{int(p)}th", x_header="load",
+        panels=(a, ("(b) 99th percentile FCT (ms)", p99), c, d),
+        title="Fig. 12")
 
 
 def main(config: Optional[ScenarioConfig] = None, cache=None) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.common import ScenarioConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import FCT_PANELS, fct_fields, panel_tables
 from repro.experiments.runner import run_many
 from repro.metrics.collector import RunMetrics
 from repro.units import MB
@@ -30,6 +30,7 @@ __all__ = [
     "LoadSweepRow",
     "default_config",
     "paper_scale_config",
+    "load_grid",
     "run_load_sweep",
     "sweep_row",
     "main",
@@ -89,6 +90,15 @@ def paper_scale_config(workload: str = "web_search", **overrides) -> ScenarioCon
     return ScenarioConfig(**base)
 
 
+def load_grid(config: ScenarioConfig, schemes: Sequence[str],
+              loads: Sequence[float]) -> list[ScenarioConfig]:
+    """The (scheme × load) cells, scheme-major.  This list *is* the
+    plan: every cell's labels are its config's ``scheme`` and ``load``,
+    so the grid can be re-labelled from the configs alone (which is all
+    ``repro fleet resume`` has)."""
+    return [config.with_(scheme=s, load=l) for s in schemes for l in loads]
+
+
 def run_load_sweep(
     config: Optional[ScenarioConfig] = None,
     *,
@@ -103,51 +113,26 @@ def run_load_sweep(
     ``cache`` (a :class:`~repro.cache.ResultCache`) makes re-runs of an
     unchanged grid resolve from disk instead of re-simulating.
     """
-    config = config if config is not None else default_config()
-    grid = [(s, l) for s in schemes for l in loads]
-    configs = [config.with_(scheme=s, load=l) for s, l in grid]
+    configs = load_grid(config if config is not None else default_config(),
+                        schemes, loads)
     metrics = run_many(configs, processes=processes, progress=progress,
                        label="load_sweep", cache=cache)
-    return [
-        sweep_row(s, l, m) for (s, l), m in zip(grid, metrics)
-    ]
+    return [sweep_row(c.scheme, c.load, m) for c, m in zip(configs, metrics)]
 
 
 def sweep_row(scheme: str, load: float, m: RunMetrics) -> LoadSweepRow:
     """Fold one run's metrics into its (scheme, load) sweep cell."""
     return LoadSweepRow(
-        scheme=scheme,
-        load=load,
-        short_afct=m.short_fct.mean,
-        short_p99=m.short_fct.p99,
-        deadline_miss=m.deadline_miss,
-        long_goodput_bps=m.long_goodput_bps,
-        completed_all=bool(m.extras.get("completed_all", False)),
-    )
+        scheme=scheme, load=load, **fct_fields(m),
+        completed_all=bool(m.extras.get("completed_all", False)))
 
 
 def tabulate(rows: Sequence[LoadSweepRow], workload: str) -> str:
     """Render the four panels as text tables (one row per load)."""
-    schemes = sorted({r.scheme for r in rows}, key=lambda s: s)
-    loads = sorted({r.load for r in rows})
-    cell = {(r.scheme, r.load): r for r in rows}
-    panels = [
-        ("(a) AFCT of short flows (ms)", lambda r: r.short_afct * 1e3),
-        ("(b) 99th percentile FCT of short flows (ms)", lambda r: r.short_p99 * 1e3),
-        ("(c) missed deadlines (%)", lambda r: r.deadline_miss * 100),
-        ("(d) throughput of long flows (Mbps)", lambda r: r.long_goodput_bps / 1e6),
-    ]
-    out = []
-    for title, getter in panels:
-        table_rows = [
-            [load] + [getter(cell[(s, load)]) for s in schemes]
-            for load in loads
-        ]
-        out.append(format_table(
-            ["load"] + list(schemes), table_rows,
-            title=f"Fig. {'10' if workload == 'web_search' else '11'} {title}",
-        ))
-    return "\n\n".join(out)
+    return panel_tables(
+        rows, x=lambda r: r.load, series=lambda r: r.scheme,
+        panels=FCT_PANELS, x_header="load",
+        title=f"Fig. {'10' if workload == 'web_search' else '11'}")
 
 
 def main(workload: str = "web_search",

@@ -35,30 +35,29 @@ raising task yields a per-item error record, not a lost chunk.
 
 Resilience
 ----------
-A multi-hour sweep must never die because one scenario crashed.  Three
-layers of protection:
+A multi-hour sweep must never die because one scenario crashed.  However
+an attempt fails — the runner raised (in-process, in a worker, or inside
+a chunk) or, in parallel mode, it outlived ``timeout`` — one rule
+settles it, in this order:
 
-* **Crash isolation** (``on_error="record"``): a task that keeps raising
-  after its retry budget yields a :class:`TaskFailure` row in its result
-  slot instead of aborting the sweep; every finished task's result is
-  preserved.  The default ``on_error="raise"`` re-raises the first
-  failure (after its retries) for callers that prefer fail-fast.
-* **Bounded retries** (``retries=N``): each task is attempted up to
-  ``1 + N`` times before it is declared failed — transient failures
-  (OOM-killed worker, flaky filesystem) don't waste the whole row.
-  Retries are spent only on *retryable* errors: a fatal one (a
+* **Retry** while the task has budget (``retries=N`` allows ``1 + N``
+  attempts) and the error is *retryable* — an OOM-killed worker, a flaky
+  filesystem, a timeout.  A fatal error (a
   :class:`~repro.errors.ConfigError`, a type error — anything
   :func:`repro.fleet.taxonomy.is_fatal` classifies as a pure function
-  of the config) fails fast on its first attempt instead of burning
-  the budget on a deterministic outcome.
-* **Pool fallback**: if worker processes cannot be created at all (no
-  ``fork`` on the platform, sandboxed environments) or the pool breaks
-  mid-flight (a worker was killed), remaining tasks transparently run
-  serially in-process rather than failing.
+  of the config) never retries: the outcome is deterministic.
+* else **raise** it (``on_error="raise"``, the default: fail-fast),
+* or **record** it (``on_error="record"``): a :class:`TaskFailure` row
+  takes the task's result slot and the sweep keeps going; every
+  finished task's result is preserved.
 
-``timeout=T`` additionally bounds each parallel task's *running* wall
-time; a task still running ``T`` seconds after its worker picked it up
-is recorded as a timeout failure (its worker process cannot be
+**Pool fallback**: if worker processes cannot be created at all (no
+``fork`` on the platform, sandboxed environments) or the pool breaks
+mid-flight (a worker was killed), the remaining tasks run through the
+same serial loop ``processes=0`` uses rather than failing.
+
+``timeout=T`` bounds each parallel task's *running* wall time, clocked
+from when its worker picked it up (its worker process cannot be
 reclaimed, so prefer generous timeouts).  Serial execution cannot be
 preempted and ignores ``timeout``.
 
@@ -84,7 +83,7 @@ from repro.experiments.common import ScenarioConfig, run_scenario_metrics
 from repro.fleet.taxonomy import is_fatal
 from repro.metrics.collector import RunMetrics
 from repro.obs.metrics import get_registry
-from repro.obs.progress import ProgressReporter
+from repro.obs.progress import ProgressReporter, fleet_heartbeat_printer
 
 __all__ = ["TaskFailure", "TaskError", "run_many", "sweep", "partition_results"]
 
@@ -205,11 +204,13 @@ def _run_serial_task(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _task_done(kind: str) -> None:
-    """Count one finished task in the process metrics registry."""
+def _task_done(kind: str, reporter: Optional[ProgressReporter]) -> None:
+    """Count one finished task: process metrics registry + heartbeat."""
     get_registry().counter(
         "repro_runner_tasks_total",
         "Sweep tasks finished, by outcome.").inc(kind=kind)
+    if reporter is not None:
+        reporter.task_done(kind=kind)
 
 
 def _retry_scheduled() -> None:
@@ -219,17 +220,11 @@ def _retry_scheduled() -> None:
 
 
 def _record(reporter: Optional[ProgressReporter], cache, config, result):
-    """Book-keeping for one finished task: progress kind + write-back."""
-    if isinstance(result, TaskFailure):
-        _task_done("failed")
-        if reporter is not None:
-            reporter.task_done(kind="failed")
-        return result
-    if cache is not None:
+    """Book-keeping for one finished task: write-back, then its kind."""
+    failed = isinstance(result, TaskFailure)
+    if cache is not None and not failed:
         cache.put(config, result)
-    _task_done("computed")
-    if reporter is not None:
-        reporter.task_done(kind="computed")
+    _task_done("failed" if failed else "computed", reporter)
     return result
 
 
@@ -319,9 +314,7 @@ def run_many(
             hit = cache.get(config)
             if hit is not None:
                 results[i] = hit
-                _task_done("cached")
-                if reporter is not None:
-                    reporter.task_done(kind="cached")
+                _task_done("cached", reporter)
             else:
                 todo.append(i)
     else:
@@ -331,17 +324,18 @@ def run_many(
 
     if processes is None:
         processes = min(os.cpu_count() or 1, len(todo))
-    if processes <= 1 or len(todo) == 1:
-        for i in todo:
-            results[i] = _record(
-                reporter, cache, configs[i],
-                _run_serial_task(runner, configs[i], i, retries, on_error))
-        return results
-    _run_pool(
-        configs, todo, results, processes, runner, reporter,
-        on_error=on_error, retries=retries, timeout=timeout,
-        cache=cache, chunksize=chunksize,
-    )
+    if processes > 1 and len(todo) > 1:
+        todo = _run_pool(
+            configs, todo, results, processes, runner, reporter,
+            on_error=on_error, retries=retries, timeout=timeout,
+            cache=cache, chunksize=chunksize,
+        )
+    # The in-process path: serial by request, or whatever the pool could
+    # not run (no worker processes here, or the pool broke mid-flight).
+    for i in todo:
+        results[i] = _record(
+            reporter, cache, configs[i],
+            _run_serial_task(runner, configs[i], i, retries, on_error))
     return results
 
 
@@ -364,15 +358,6 @@ def _run_fleet_backend(
             " fabric stores every result content-addressed so crashed and"
             " resumed runs never recompute")
     from repro.fleet import run_fleet
-    from repro.obs.progress import format_fleet_heartbeat
-
-    on_status = None
-    if progress:
-        import sys
-
-        def on_status(status: dict) -> None:
-            print(format_fleet_heartbeat(status, label=label),
-                  file=sys.stderr, flush=True)
 
     # The default runner is resolvable by dotted spec inside worker
     # subprocesses; only a custom runner needs to travel as an object.
@@ -384,7 +369,7 @@ def _run_fleet_backend(
         workers=processes,
         runner=fleet_runner,
         max_attempts=1 + retries,
-        on_status=on_status,
+        on_status=fleet_heartbeat_printer(label) if progress else None,
     )
     if result.failures and on_error == "raise":
         first = result.failures[0]
@@ -413,17 +398,14 @@ def _run_pool(
     timeout: Optional[float],
     cache,
     chunksize: Optional[int],
-) -> None:
-    """The parallel path: chunking, retries, timeouts, pool fallback."""
+) -> list[int]:
+    """The parallel path: chunking, retries, timeouts.  Returns the
+    tasks it could not run, for the caller's serial loop (pool fallback)."""
     try:
         pool = ProcessPoolExecutor(max_workers=processes)
     except (OSError, ImportError, NotImplementedError):
         # No worker processes on this platform/sandbox: degrade to serial.
-        for i in todo:
-            results[i] = _record(
-                reporter, cache, configs[i],
-                _run_serial_task(runner, configs[i], i, retries, on_error))
-        return
+        return todo
     if chunksize is None:
         chunksize = _auto_chunksize(len(todo), processes, timeout)
     attempts = {i: 1 for i in todo}
@@ -431,48 +413,38 @@ def _run_pool(
     pending: dict[Future, tuple[int, ...]] = {}
     any_timeout = False
 
-    def submit_single(idx: int) -> None:
-        # Direct submission preserves the original exception object for
-        # on_error="raise"; retries always come back through here.
-        fut = pool.submit(runner, configs[idx])
-        pending[fut] = (idx,)
-        started[fut] = None
-
-    def submit_chunk(idxs: tuple[int, ...]) -> None:
+    def submit(idxs: tuple[int, ...]) -> None:
         if len(idxs) == 1:
-            submit_single(idxs[0])
-            return
-        fut = pool.submit(_run_chunk, runner, [configs[i] for i in idxs])
+            # Direct submission preserves the original exception object
+            # for on_error="raise"; retries always come back as singles.
+            fut = pool.submit(runner, configs[idxs[0]])
+        else:
+            fut = pool.submit(_run_chunk, runner, [configs[i] for i in idxs])
         pending[fut] = idxs
         started[fut] = None
-
-    def serial_remainder(indices: Iterable[int]) -> None:
-        for idx in sorted(indices):
-            results[idx] = _record(
-                reporter, cache, configs[idx],
-                _run_serial_task(runner, configs[idx], idx, retries, on_error))
 
     def finish(idx: int, result) -> None:
         results[idx] = _record(reporter, cache, configs[idx], result)
 
-    def item_failed(idx: int, error: str, traceback: str,
-                    *, fatal: bool = False) -> bool:
-        """Retry or record one failed chunk item; True if rescheduled."""
+    def settle(failure: TaskFailure, exc: BaseException, fatal: bool) -> None:
+        """The failed-attempt rule, for every way an attempt can fail
+        (raised future, chunk item, timeout): retry while budget remains
+        and the error is retryable — fatal errors are deterministic
+        functions of the config and never retry — else raise ``exc`` or
+        record ``failure``, as ``on_error`` says."""
+        idx = failure.index
         if attempts[idx] <= retries and not fatal:
             attempts[idx] += 1
             _retry_scheduled()
-            submit_single(idx)
-            return True
-        if on_error == "raise":
-            raise TaskError(f"{error}\n{traceback}")
-        finish(idx, TaskFailure(
-            index=idx, config=configs[idx], error=error,
-            traceback=traceback, attempts=attempts[idx]))
-        return False
+            submit((idx,))
+        elif on_error == "raise":
+            raise exc
+        else:
+            finish(idx, failure)
 
     try:
         for pos in range(0, len(todo), chunksize):
-            submit_chunk(tuple(todo[pos:pos + chunksize]))
+            submit(tuple(todo[pos:pos + chunksize]))
         while pending:
             done, _ = wait(set(pending), timeout=_wait_budget(
                 pending, started, timeout), return_when=FIRST_COMPLETED)
@@ -489,32 +461,25 @@ def _run_pool(
                     for other in pending.values():
                         rest.extend(other)
                     pending.clear()
-                    serial_remainder(rest)
-                    return
+                    return sorted(rest)
                 except Exception as exc:
                     # A single task's exception, or a chunk that failed
                     # wholesale (e.g. its result would not pickle):
-                    # apply the retry budget to every task it carried.
-                    # Fatal errors never retry — they are deterministic
-                    # functions of the config.
+                    # settle every task it carried.
                     for idx in idxs:
-                        if attempts[idx] <= retries and not is_fatal(exc):
-                            attempts[idx] += 1
-                            _retry_scheduled()
-                            submit_single(idx)
-                            continue
-                        if on_error == "raise":
-                            raise
-                        finish(idx, _failure(idx, configs[idx], exc,
-                                             attempts[idx]))
+                        settle(_failure(idx, configs[idx], exc,
+                                        attempts[idx]), exc, is_fatal(exc))
                     continue
                 if len(idxs) == 1:
                     finish(idxs[0], payload)
                     continue
                 for idx, item in zip(idxs, payload):
                     if isinstance(item, _ChunkItemError):
-                        item_failed(idx, item.error, item.traceback,
-                                    fatal=item.fatal)
+                        settle(TaskFailure(
+                            index=idx, config=configs[idx], error=item.error,
+                            traceback=item.traceback, attempts=attempts[idx]),
+                            TaskError(f"{item.error}\n{item.traceback}"),
+                            item.fatal)
                     else:
                         finish(idx, item)
             if timeout is None:
@@ -541,20 +506,15 @@ def _run_pool(
                     # own single (no attempt consumed) so the hung one
                     # times out alone and its chunk-mates still complete.
                     for idx in idxs:
-                        submit_single(idx)
+                        submit((idx,))
                     continue
+                timeout_exc = TimeoutError(
+                    f"task exceeded timeout={timeout:g}s")
                 for idx in idxs:
-                    if attempts[idx] <= retries:
-                        attempts[idx] += 1
-                        _retry_scheduled()
-                        submit_single(idx)
-                        continue
-                    timeout_exc = TimeoutError(
-                        f"task exceeded timeout={timeout:g}s")
-                    if on_error == "raise":
-                        raise timeout_exc
-                    finish(idx, _failure(idx, configs[idx], timeout_exc,
-                                         attempts[idx], timed_out=True))
+                    settle(_failure(idx, configs[idx], timeout_exc,
+                                    attempts[idx], timed_out=True),
+                           timeout_exc, is_fatal(timeout_exc))
+        return []
     except (KeyboardInterrupt, SystemExit):
         # Interrupted mid-sweep: futures that already completed hold
         # results the next run would otherwise recompute.  Harvest them

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.common import ScenarioConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import panel_tables
 from repro.experiments.runner import run_many
 from repro.units import KB, MB, Mbps, milliseconds
 
@@ -100,21 +100,20 @@ def run_flowcount_sweep(
     if axis not in ("n_short", "n_long"):
         raise ValueError(f"axis must be n_short or n_long, got {axis!r}")
     base = config if config is not None else testbed_config()
-    grid = [(s, v) for s in schemes for v in values]
     configs = [
         base.with_(scheme=s, scheme_params=scheme_params_for(s), **{axis: int(v)})
-        for s, v in grid
+        for s in schemes for v in values
     ]
     metrics = run_many(configs, processes=processes, cache=cache)
     return [
         TestbedRow(
-            scheme=s,
-            x=int(v),
+            scheme=c.scheme,
+            x=getattr(c, axis),
             short_afct=m.short_fct.mean,
             long_goodput_bps=m.long_goodput_bps,
             deadline_miss=m.deadline_miss,
         )
-        for (s, v), m in zip(grid, metrics)
+        for c, m in zip(configs, metrics)
     ]
 
 
@@ -129,24 +128,24 @@ def normalise_to(rows: Sequence[TestbedRow], reference: str = "tlb") -> dict:
     return out
 
 
+def normalised_panels(rows: Sequence) -> list:
+    """The two §7 panels (Figs. 13, 14, 16, 17) over rows with
+    ``scheme``/``x``: AFCT normalised to TLB, long-flow throughput."""
+    norm = normalise_to(rows)
+    return [
+        ("(a) — AFCT of short flows, normalised to TLB",
+         lambda r: norm.get((r.scheme, r.x), float("nan"))),
+        ("(b) — average throughput of long flows (Mbps)",
+         lambda r: r.long_goodput_bps / 1e6),
+    ]
+
+
 def tabulate(rows: Sequence[TestbedRow], axis: str) -> str:
     """Render the two panels (normalised AFCT, long throughput)."""
-    schemes = sorted({r.scheme for r in rows})
-    xs = sorted({r.x for r in rows})
-    cell = {(r.scheme, r.x): r for r in rows}
-    norm = normalise_to(rows)
-    fig = "13" if axis == "n_short" else "14"
-    t_a = format_table(
-        [axis] + list(schemes),
-        [[x] + [norm.get((s, x), float("nan")) for s in schemes] for x in xs],
-        title=f"Fig. {fig} (a) — AFCT of short flows, normalised to TLB",
-    )
-    t_b = format_table(
-        [axis] + list(schemes),
-        [[x] + [cell[(s, x)].long_goodput_bps / 1e6 for s in schemes] for x in xs],
-        title=f"Fig. {fig} (b) — average throughput of long flows (Mbps)",
-    )
-    return t_a + "\n\n" + t_b
+    return panel_tables(
+        rows, x=lambda r: r.x, series=lambda r: r.scheme,
+        panels=normalised_panels(rows), x_header=axis,
+        title=f"Fig. {'13' if axis == 'n_short' else '14'}")
 
 
 def main(axis: str = "n_short",

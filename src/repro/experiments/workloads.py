@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.experiments.common import ScenarioConfig
-from repro.experiments.report import format_table
+from repro.experiments.report import FCT_PANELS, fct_fields, panel_tables
 from repro.experiments.runner import run_many
 from repro.metrics.collector import RunMetrics
 from repro.units import MB
@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_SCHEMES",
     "WorkloadRow",
     "workloads_config",
+    "workload_grid",
     "run_workload_grid",
     "workload_row",
     "tabulate",
@@ -80,6 +81,14 @@ def workloads_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def workload_grid(config: ScenarioConfig, schemes: Sequence[str],
+                  workloads: Sequence[str]) -> list[ScenarioConfig]:
+    """The (scheme × workload-spec) cells, scheme-major; each cell's
+    labels are its config's ``scheme`` and ``workload``."""
+    return [config.with_(scheme=s, workload=w)
+            for s in schemes for w in workloads]
+
+
 def run_workload_grid(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     *,
@@ -90,51 +99,28 @@ def run_workload_grid(
     cache=None,
 ) -> list[WorkloadRow]:
     """The (scheme × workload) grid through the shared sweep executor."""
-    config = config if config is not None else workloads_config()
-    grid = [(s, w) for s in schemes for w in workloads]
-    configs = [config.with_(scheme=s, workload=w) for s, w in grid]
+    configs = workload_grid(
+        config if config is not None else workloads_config(),
+        schemes, workloads)
     metrics = run_many(configs, processes=processes, progress=progress,
                        label="workloads", cache=cache)
-    return [workload_row(s, w, m) for (s, w), m in zip(grid, metrics)]
+    return [workload_row(c.scheme, c.workload, m)
+            for c, m in zip(configs, metrics)]
 
 
 def workload_row(scheme: str, workload: str, m: RunMetrics) -> WorkloadRow:
     """Fold one run's metrics into its grid cell."""
     return WorkloadRow(
-        scheme=scheme,
-        workload=workload,
-        short_afct=m.short_fct.mean,
-        short_p99=m.short_fct.p99,
-        deadline_miss=m.deadline_miss,
-        long_goodput_bps=m.long_goodput_bps,
-        completed_all=bool(m.extras.get("completed_all", False)),
-    )
+        scheme=scheme, workload=workload, **fct_fields(m),
+        completed_all=bool(m.extras.get("completed_all", False)))
 
 
 def tabulate(rows: Sequence[WorkloadRow]) -> str:
     """Render the four panels (one row per workload spec)."""
-    schemes = sorted({r.scheme for r in rows})
-    workloads = list(dict.fromkeys(r.workload for r in rows))
-    cell = {(r.scheme, r.workload): r for r in rows}
-    panels = [
-        ("(a) AFCT of short flows (ms)", lambda r: r.short_afct * 1e3),
-        ("(b) 99th percentile FCT of short flows (ms)",
-         lambda r: r.short_p99 * 1e3),
-        ("(c) missed deadlines (%)", lambda r: r.deadline_miss * 100),
-        ("(d) throughput of long flows (Mbps)",
-         lambda r: r.long_goodput_bps / 1e6),
-    ]
-    out = []
-    for title, getter in panels:
-        table_rows = [
-            [w] + [getter(cell[(s, w)]) for s in schemes]
-            for w in workloads
-        ]
-        out.append(format_table(
-            ["workload"] + list(schemes), table_rows,
-            title=f"Workload scenarios {title}",
-        ))
-    return "\n\n".join(out)
+    return panel_tables(
+        rows, x=lambda r: r.workload, series=lambda r: r.scheme,
+        panels=FCT_PANELS, x_header="workload", sort_x=False,
+        title="Workload scenarios")
 
 
 def main(
@@ -147,11 +133,9 @@ def main(
 ) -> str:
     """Run the grid and render all four panels (optionally CSV out)."""
     specs = tuple(workloads) if workloads else DEFAULT_WORKLOADS
-    cfg = config if config is not None else workloads_config()
-    grid = [(s, w) for s in schemes for w in specs]
-    configs = [cfg.with_(scheme=s, workload=w) for s, w in grid]
+    configs = workload_grid(
+        config if config is not None else workloads_config(), schemes, specs)
     metrics = run_many(configs, label="workloads", cache=cache)
-    rows = [workload_row(s, w, m) for (s, w), m in zip(grid, metrics)]
     if csv:
         from repro.metrics.export import write_metrics_csv
         from repro.obs import build_manifest
@@ -163,10 +147,11 @@ def main(
         manifest = build_manifest(configs[0], counters=None, extra=extra)
         write_metrics_csv(
             csv, list(metrics),
-            extra_columns=[{"workload": w, "swept_scheme": s}
-                           for s, w in grid],
+            extra_columns=[{"workload": c.workload, "swept_scheme": c.scheme}
+                           for c in configs],
             manifest=manifest)
-    return tabulate(rows)
+    return tabulate([workload_row(c.scheme, c.workload, m)
+                     for c, m in zip(configs, metrics)])
 
 
 if __name__ == "__main__":  # pragma: no cover

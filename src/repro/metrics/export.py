@@ -65,6 +65,18 @@ def metrics_to_dict(m: RunMetrics) -> dict:
     return out
 
 
+def _flat_rows(runs: Sequence[RunMetrics],
+               extra_columns: Sequence[dict] | None) -> list[dict]:
+    """One flat dict per run, with its ``extra_columns`` entry merged."""
+    rows = []
+    for i, m in enumerate(runs):
+        row = metrics_to_dict(m)
+        if extra_columns is not None:
+            row.update(extra_columns[i])
+        rows.append(row)
+    return rows
+
+
 def write_metrics_csv(path: str | Path, runs: Sequence[RunMetrics],
                       extra_columns: Sequence[dict] | None = None,
                       manifest: dict | None = None) -> Path:
@@ -76,12 +88,7 @@ def write_metrics_csv(path: str | Path, runs: Sequence[RunMetrics],
     written as ``manifest.json`` beside the export.
     """
     path = _prepared(path)
-    rows = []
-    for i, m in enumerate(runs):
-        row = metrics_to_dict(m)
-        if extra_columns is not None:
-            row.update(extra_columns[i])
-        rows.append(row)
+    rows = _flat_rows(runs, extra_columns)
     if not rows:
         path.write_text("")
     else:
@@ -104,12 +111,7 @@ def write_metrics_json(path: str | Path, runs: Sequence[RunMetrics],
     export, as for :func:`write_metrics_csv`.
     """
     path = _prepared(path)
-    rows = []
-    for i, m in enumerate(runs):
-        row = metrics_to_dict(m)
-        if extra_columns is not None:
-            row.update(extra_columns[i])
-        rows.append(row)
+    rows = _flat_rows(runs, extra_columns)
     path.write_text(json.dumps(rows, indent=2, allow_nan=False))
     if manifest is not None:
         write_manifest(path, manifest)

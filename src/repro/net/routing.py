@@ -12,14 +12,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
 from repro.errors import RoutingError
 
 __all__ = ["ecmp_next_hops", "install_ecmp_routes"]
 
 
-def ecmp_next_hops(graph: nx.Graph, dst: str) -> dict[str, list[str]]:
+def ecmp_next_hops(graph, dst: str) -> dict[str, list[str]]:
     """For one destination, map every other node to its ECMP next hops.
 
     A neighbour ``v`` of node ``u`` is a valid next hop towards ``dst``
@@ -31,6 +29,8 @@ def ecmp_next_hops(graph: nx.Graph, dst: str) -> dict[str, list[str]]:
     RoutingError
         If ``dst`` is not in the graph or some node cannot reach it.
     """
+    import networkx as nx
+
     if dst not in graph:
         raise RoutingError(f"destination {dst!r} not in topology")
     dist = nx.single_source_shortest_path_length(graph, dst)
@@ -53,8 +53,9 @@ def install_ecmp_routes(net, host_names: Iterable[str] | None = None) -> None:
     ``host_names`` (default: all hosts) get routes.
     """
     targets = list(host_names) if host_names is not None else list(net.hosts)
+    graph = net.graph  # built on demand: once, not per destination
     for dst in targets:
-        hops = ecmp_next_hops(net.graph, dst)
+        hops = ecmp_next_hops(graph, dst)
         for sw_name, sw in net.switches.items():
             nexts = hops.get(sw_name)
             if not nexts:

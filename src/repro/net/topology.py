@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.net.host import Host
 from repro.net.port import Port
@@ -94,8 +92,10 @@ class Network:
     leaf_of:
         host name → its leaf switch name.
     graph:
-        An undirected :class:`networkx.Graph` of the topology (used by the
-        generic routing module and by tests asserting path counts).
+        An undirected :class:`networkx.Graph` of the topology, built on
+        demand from ``ports`` (used by the generic routing module and by
+        tests asserting path counts; a leaf–spine run never reads it, so
+        never imports :mod:`networkx`).
     """
 
     def __init__(self, sim: Simulator, config: LeafSpineConfig, tracer: Tracer,
@@ -109,11 +109,18 @@ class Network:
         self.leaves: list[Switch] = []
         self.spines: list[Switch] = []
         self.leaf_of: dict[str, str] = {}
-        self.graph = nx.Graph()
         #: (src_node_name, dst_node_name) -> Port, for asymmetry overrides
         self.ports: dict[tuple[str, str], Port] = {}
 
     # -- introspection ------------------------------------------------------
+
+    @property
+    def graph(self):
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_edges_from(self.ports)
+        return graph
 
     def node(self, name: str):
         """Look up any node by name."""
@@ -195,7 +202,6 @@ def _link(
     )
     net.ports[(src_name, dst_name)] = fwd
     net.ports[(dst_name, src_name)] = rev
-    net.graph.add_edge(src_name, dst_name)
     for node, port, neighbour in ((src, fwd, dst_name), (dst, rev, src_name)):
         if isinstance(node, Switch):
             node.add_port(neighbour, port)

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Optional, TextIO
+from typing import Any, Callable, Optional, TextIO
 
 from repro.errors import ConfigError
 
-__all__ = ["ProgressReporter", "format_fleet_heartbeat", "format_fleet_workers"]
+__all__ = ["ProgressReporter", "format_fleet_heartbeat",
+           "fleet_heartbeat_printer", "format_fleet_workers"]
 
 _KINDS = ("computed", "cached", "failed")
 
@@ -61,6 +62,15 @@ def format_fleet_heartbeat(status: dict, *, label: str = "fleet") -> str:
         line += f" [{', '.join(extras)}]"
     line += f" — {live}/{len(workers)} worker(s) live"
     return line
+
+
+def fleet_heartbeat_printer(label: str = "fleet") -> Callable[[dict], None]:
+    """An ``on_status`` callback for :func:`~repro.fleet.run_fleet`:
+    prints each snapshot's heartbeat line to stderr."""
+    def on_status(status: dict) -> None:
+        print(format_fleet_heartbeat(status, label=label),
+              file=sys.stderr, flush=True)
+    return on_status
 
 
 def format_fleet_workers(status: dict) -> list[str]:

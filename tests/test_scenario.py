@@ -169,8 +169,9 @@ def test_format_table_alignment():
 
 
 def test_running_a_scenario_does_not_import_scipy():
-    """scipy serves only the CI half-width in ``experiments.stats``; every
-    run, pool worker and fleet worker would otherwise pay its import."""
+    """scipy serves only the CI half-width in ``experiments.stats``, and
+    networkx only fat-tree / generic routing (``Network.graph``); every
+    run, pool worker and fleet worker would otherwise pay their import."""
     import os
     import subprocess
     import sys
@@ -181,7 +182,7 @@ def test_running_a_scenario_does_not_import_scipy():
         "import repro.cache\n"
         "from repro.experiments.common import ScenarioConfig, run_scenario\n"
         f"run_scenario(ScenarioConfig(scheme='ecmp', **{SMALL!r}))\n"
-        "sys.exit('scipy' in sys.modules)\n")
+        "sys.exit(any(m in sys.modules for m in ('scipy', 'networkx')))\n")
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     assert subprocess.run([sys.executable, "-c", code], env=env,
