@@ -9,7 +9,10 @@ that produced it are unchanged, so every key combines two digests:
   workload, fault schedule, asymmetry overrides, seed, horizon, ...) and
   deliberately *excluding* pure observability knobs (trace verbosity,
   telemetry profiling, live time-series collection) that leave the
-  returned :class:`~repro.metrics.collector.RunMetrics` untouched;
+  *stored* :class:`~repro.metrics.collector.RunMetrics` untouched — what
+  they add to a live run's ``extras`` (:data:`OBSERVER_EXTRAS`) is
+  dropped by ``ResultCache.put``, so an entry never depends on which
+  observers were on when it was filled;
 * the **code fingerprint** — the package version plus a SHA-256 over
   every ``*.py`` file in the installed ``repro`` source tree, so any
   code change (even a one-line bugfix deep in the transport) invalidates
@@ -32,6 +35,7 @@ from repro._version import __version__
 
 __all__ = [
     "NON_SEMANTIC_FIELDS",
+    "OBSERVER_EXTRAS",
     "canonical_config",
     "config_digest",
     "code_fingerprint",
@@ -53,6 +57,14 @@ NON_SEMANTIC_FIELDS = frozenset({
     "spans",         # per-flow span forensics (observability artefact)
     "profile",       # kernel self-profiler (wall-time attribution)
     "metrics",       # metrics-registry emission (metrics.prom/metrics.json)
+})
+
+#: ``RunMetrics.extras`` keys that ``run_scenario`` writes under the
+#: non-semantic ``telemetry`` / ``profile`` / ``spans`` fields.  The key
+#: does not see those fields, so the stored entry must not either.
+OBSERVER_EXTRAS = frozenset({
+    "wall_time_s", "events_per_sec", "sim_wall_ratio", "peak_rss_bytes",
+    "profile", "spans",
 })
 
 

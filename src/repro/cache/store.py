@@ -33,6 +33,7 @@ from under the run that is about to collect them.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pickle
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional
 
-from repro.cache.key import cache_key, code_fingerprint
+from repro.cache.key import OBSERVER_EXTRAS, cache_key, code_fingerprint
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -261,10 +262,19 @@ class ResultCache:
 
         Returns the entry path, or None when the config cannot be keyed
         or the result cannot be pickled (both are silently uncacheable,
-        not errors — a sweep must never die on write-back).
+        not errors — a sweep must never die on write-back).  Observer
+        output in ``result.extras`` (``OBSERVER_EXTRAS``) is left out of
+        the stored copy.
         """
         try:
             key = self.key_for(config)
+            extras = getattr(result, "extras", None)
+            if isinstance(extras, dict) and not OBSERVER_EXTRAS.isdisjoint(extras):
+                # The stored entry is a function of the key, which does
+                # not see observer flags; the caller's object keeps them.
+                result = copy.copy(result)
+                result.extras = {k: v for k, v in extras.items()
+                                 if k not in OBSERVER_EXTRAS}
             blob = pickle.dumps(result, protocol=4)
         except Exception:
             return None

@@ -32,17 +32,6 @@ Commands
 ``diff``
     Compare two metric exports (JSON/CSV/recording) metric-by-metric;
     exits non-zero on regressions beyond tolerance.
-``bench``
-    CI smoke benchmark: one reduced run per scheme, JSON rows out,
-    optional recorded-run HTML report.  ``bench --micro`` instead runs
-    the hot-path micro-benchmarks (packets/sec, events/sec, determinism
-    checksums) and can compare against a committed baseline
-    (``--baseline``, ``--require-identical``); ``--profile`` attributes
-    wall time to kernel handlers.  ``bench --cache-bench`` times the
-    same sweep cold then warm through the result cache.  ``bench
-    --spans-smoke`` measures span-collection overhead and verifies spans
-    never change the simulation.  The committed performance trajectory
-    is the benchmark ladder's (``benchmarks/ladder/README.md``).
 ``cache``
     Result-cache maintenance: ``stats`` (``--json`` for machines),
     ``clear``, ``gc --max-size``.
@@ -371,54 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("--all", action="store_true", dest="show_all",
                       help="show unchanged metrics too")
 
-    bench = sub.add_parser(
-        "bench", help="CI smoke benchmark: one reduced run per scheme")
-    bench.add_argument("--schemes", nargs="+", default=["ecmp", "rps", "tlb"])
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--json", metavar="FILE",
-                       help="write one flat JSON row per scheme"
-                       " (micro mode default: BENCH_pr4.json)")
-    bench.add_argument("--html", metavar="FILE",
-                       help="render the TLB run's recording as HTML here")
-    bench.add_argument("--record", metavar="FILE",
-                       help="keep the TLB run's recording here (.npz)")
-    bench.add_argument("--micro", action="store_true",
-                       help="run the hot-path micro-benchmarks instead"
-                       " (events/sec, packets/sec, determinism checksums)")
-    bench.add_argument("--micro-scale", type=float, default=1.0, metavar="X",
-                       help="micro mode: workload size multiplier; checksums"
-                       " come from fixed-size probes and do not scale"
-                       " (default 1.0)")
-    bench.add_argument("--repeats", type=int, default=2, metavar="N",
-                       help="micro mode: timing repeats, best-of-N"
-                       " (default 2)")
-    bench.add_argument("--baseline", metavar="FILE",
-                       help="micro mode: compare against this JSON; slower"
-                       " throughput warns on stderr")
-    bench.add_argument("--require-identical", action="store_true",
-                       help="micro mode: with --baseline, exit non-zero if"
-                       " any determinism checksum drifted")
-    bench.add_argument("--profile", action="store_true",
-                       help="micro mode: attribute wall time to kernel"
-                       " handlers (perturbs throughput; rows are not"
-                       " baseline-comparable)")
-    bench.add_argument("--spans-smoke", action="store_true",
-                       help="measure span-collection overhead and verify"
-                       " spans leave the simulated outcome untouched")
-    bench.add_argument("--max-overhead-pct", type=float, default=10.0,
-                       metavar="PCT", help="spans-smoke mode: events/sec"
-                       " overhead past this warns (default 10)")
-    bench.add_argument("--cache-bench", action="store_true",
-                       help="time a representative sweep cold vs warm"
-                       " through the result cache (--json FILE keeps the"
-                       " row)")
-    bench.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="cache-bench mode: reuse this cache directory"
-                       " (default: a throwaway temp dir)")
-    bench.add_argument("--processes", type=int, default=None,
-                       help="cache-bench mode: sweep worker processes"
-                       " (default: auto)")
-
     model = sub.add_parser("model", help="evaluate Eq. 9 (no simulation)")
     model.add_argument("--short-flows", type=int, default=100)
     model.add_argument("--long-flows", type=int, default=3)
@@ -500,10 +441,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = config.with_(metrics=True)
 
     cache = _cache_from_args(args)
-    if cache is not None and (args.trace or args.record or args.spans):
-        # A cached result has no packet stream to trace or sample.
-        print("warning: --cache ignored with --trace/--record/--spans"
-              " (they need a live run)", file=sys.stderr)
+    if cache is not None and (args.trace or args.record or args.spans
+                              or args.telemetry):
+        # A cached result has no packet stream to trace or sample and no
+        # event loop to time.
+        print("warning: --cache ignored with --trace/--record/--spans/"
+              "--telemetry (they need a live run)", file=sys.stderr)
         cache = None
 
     tracer = counters = None
@@ -853,102 +796,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 1 if n_regressions else 0
 
 
-def _cmd_bench_micro(args: argparse.Namespace) -> int:
-    from repro.experiments.microbench import (
-        compare_to_baseline, format_rows, run_microbench,
-        write_microbench_json)
-    from repro.obs.diff import load_rows
-
-    rows = run_microbench(seed=args.seed, scale=args.micro_scale,
-                          repeats=args.repeats, profile=args.profile)
-    drift: list[str] = []
-    if args.baseline:
-        warnings, drift = compare_to_baseline(rows, load_rows(args.baseline))
-        for line in warnings:
-            print(f"warning: {line}", file=sys.stderr)
-        for line in drift:
-            print(f"DETERMINISM DRIFT: {line}", file=sys.stderr)
-    print(format_rows(rows))
-    if args.profile:
-        from repro.obs.profiler import format_profile
-
-        for row in rows:
-            if "profile" in row:
-                print(f"\n{row['scenario']}:")
-                print(format_profile(row["profile"]))
-    if args.profile and not args.json:
-        # Profiled throughput is perturbed; never let it silently
-        # replace the committed determinism/throughput baseline.
-        print("note: --profile without --json: rows not written",
-              file=sys.stderr)
-    else:
-        json_path = args.json if args.json else "BENCH_pr4.json"
-        print("wrote", write_microbench_json(json_path, rows))
-    if drift and args.require_identical:
-        return 2
-    return 0
-
-
-def _cmd_bench_spans_smoke(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        format_spans_smoke, run_spans_smoke, write_bench_json)
-
-    row = run_spans_smoke(seed=args.seed, repeats=args.repeats)
-    print(format_spans_smoke(row))
-    if args.json:
-        print("wrote", write_bench_json(args.json, [row]))
-    if not row["events_identical"] or not row["outcome_identical"]:
-        print("ERROR: span collection changed the simulated outcome",
-              file=sys.stderr)
-        return 2
-    if row["overhead_pct"] > args.max_overhead_pct:
-        print(f"warning: span overhead {row['overhead_pct']:.1f}% exceeds"
-              f" {args.max_overhead_pct:g}% (machine-dependent; advisory)",
-              file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_cache(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import format_cache_bench, run_cache_bench, \
-        write_bench_json
-
-    row = run_cache_bench(seed=args.seed, cache_dir=args.cache_dir,
-                          processes=args.processes)
-    print(format_cache_bench(row))
-    if args.json:
-        print("wrote", write_bench_json(args.json, [row]))
-    if not row["byte_identical"]:
-        print("ERROR: warm results differ from cold", file=sys.stderr)
-        return 2
-    if row["warm_misses"]:
-        print(f"ERROR: warm pass missed {row['warm_misses']} task(s)",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import run_bench, write_bench_json
-
-    if args.micro:
-        return _cmd_bench_micro(args)
-    if args.cache_bench:
-        return _cmd_bench_cache(args)
-    if args.spans_smoke:
-        return _cmd_bench_spans_smoke(args)
-    rows = run_bench(args.schemes, seed=args.seed,
-                     record_path=args.record, html_path=args.html)
-    for row in rows:
-        print(f"{row['scheme']:>8}: short FCT p99 "
-              f"{row.get('short_fct_p99_s')} s, wall "
-              f"{row.get('extra_wall_time_s')} s")
-    if args.json:
-        print("wrote", write_bench_json(args.json, rows))
-    if args.html:
-        print("wrote", args.html)
-    return 0
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
     import importlib
     import inspect
@@ -1051,8 +898,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_explain(args)
     if args.command == "diff":
         return _cmd_diff(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "trace":
         if args.trace_command == "summarize":
             return _cmd_trace_summarize(args)

@@ -343,11 +343,6 @@ def run_scenario(
         from repro.obs.profiler import EngineProfiler
 
         profiler = EngineProfiler().install(sim)
-    telemetry = None
-    if config.telemetry:
-        from repro.obs.telemetry import RunTelemetry
-
-        telemetry = RunTelemetry(sim).start()
     pending = {f.id for f in workload.flows}
     done_ids: set[int] = set()
     registry.subscribe_completion(lambda s: done_ids.add(s.flow.id))
@@ -357,8 +352,6 @@ def run_scenario(
         t = min(t + config.slice_width, config.horizon)
         sim.run(until=t)
     wall = time.perf_counter() - wall0
-    if telemetry is not None:
-        telemetry.stop()
 
     metrics = collector.finalize(
         net, scheme=config.scheme, horizon=sim.now, balancers=balancers)
@@ -371,8 +364,14 @@ def run_scenario(
         metrics.extras["faults_applied"] = injector.summary()
         metrics.extras["path_events"] = sum(
             lb.path_events for lb in balancers.values())
-    if telemetry is not None:
-        metrics.extras.update(telemetry.as_extras())
+    if config.telemetry:
+        from repro.obs.telemetry import peak_rss_bytes
+
+        metrics.extras["wall_time_s"] = wall
+        metrics.extras["events_per_sec"] = (
+            sim.events_processed / wall if wall > 0 else 0.0)
+        metrics.extras["sim_wall_ratio"] = sim.now / wall if wall > 0 else 0.0
+        metrics.extras["peak_rss_bytes"] = peak_rss_bytes()
     if profiler is not None:
         metrics.extras["profile"] = profiler.report(top=16)
     if recorder is not None:

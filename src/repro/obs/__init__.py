@@ -10,8 +10,9 @@ and makes whole runs self-describing:
 * :class:`CountingTracer` — near-zero-cost per-(kind, node) counters
   (enqueue / dequeue / drop / mark / reroute / retransmit);
 * :class:`TeeTracer` — fans one trace stream out to several sinks;
-* :class:`RunTelemetry` — wall-clock profiling of a simulation run
-  (events/sec, sim-time/wall-time ratio, peak memory);
+* :func:`~repro.obs.telemetry.peak_rss_bytes` — the peak-memory read
+  behind ``ScenarioConfig.telemetry`` (``run_scenario`` derives wall
+  time, events/sec and the sim-time/wall-time ratio from its own clock);
 * :func:`build_manifest` / :func:`write_manifest` — ``manifest.json``
   beside every export, recording exactly what produced it;
 * :class:`ProgressReporter` — heartbeat + ETA for multi-run sweeps
@@ -27,7 +28,8 @@ and makes whole runs self-describing:
   forensics with deterministic tail sampling (``repro run --spans``,
   ``repro explain``);
 * :class:`EngineProfiler` — kernel self-profiling: per-handler event
-  counts and sampled wall time (``repro bench --profile``);
+  counts and sampled wall time (``ScenarioConfig.profile``; the
+  benchmark ladder's traced runs fold its report into their ledger);
 * :class:`MetricsRegistry` — dependency-free Counter/Gauge/Histogram
   registry with Prometheus textfile exposition and deterministic
   canonical-JSON dumps (``metrics.prom`` / ``metrics.json`` beside
@@ -56,7 +58,6 @@ from repro.obs.recorder import FlightRecorder, RecordedRun
 from repro.obs.report import render_html_report, write_html_report
 from repro.obs.spans import SpanBuffer, format_explain, load_spans
 from repro.obs.summarize import TraceSummary, format_trace_summary, summarize_trace
-from repro.obs.telemetry import RunTelemetry
 from repro.obs.tracers import CountingTracer, JsonlTracer, TeeTracer
 
 __all__ = [
@@ -67,7 +68,6 @@ __all__ = [
     "load_spans",
     "format_explain",
     "EngineProfiler",
-    "RunTelemetry",
     "MANIFEST_NAME",
     "METRICS_JSON_NAME",
     "METRICS_PROM_NAME",

@@ -24,29 +24,7 @@ from typing import Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["EngineProfiler", "format_profile"]
-
-
-def format_profile(report: dict) -> str:
-    """Render a persisted profile dict (:meth:`EngineProfiler.report`).
-
-    The dict-shaped twin of :meth:`EngineProfiler.format_report`, for
-    profiles read back from JSON (``repro bench --micro --profile``
-    rows, ``RunMetrics.extras['profile']``).
-    """
-    lines = [
-        f"profile: {report.get('events', 0)} events over"
-        f" {report.get('runs', 0)} run(s), {report.get('wall_s', 0.0):.3f} s"
-        f" wall, timing 1/{report.get('sample_every', '?')} events",
-        f"  {'component':<44} {'events':>10} {'ev%':>6} {'time%':>6} {'est_s':>8}",
-    ]
-    for r in report.get("components", []):
-        lines.append(
-            f"  {r['component']:<44} {r['events']:>10}"
-            f" {r['event_share'] * 100:>5.1f}% {r['time_share'] * 100:>5.1f}%"
-            f" {r['est_s']:>8.3f}"
-        )
-    return "\n".join(lines)
+__all__ = ["EngineProfiler"]
 
 
 class EngineProfiler:
@@ -144,19 +122,3 @@ class EngineProfiler:
                 for r in self.components(top)
             ],
         }
-
-    def format_report(self, top: int = 12) -> str:
-        """Human-readable table for ``repro bench --profile``."""
-        rows = self.components(top)
-        lines = [
-            f"profile: {self.total_events} events over {self.runs} run(s), "
-            f"{self.wall_s:.3f} s wall, timing 1/{self.sample_every} events",
-            f"  {'component':<44} {'events':>10} {'ev%':>6} {'time%':>6} {'est_s':>8}",
-        ]
-        for r in rows:
-            lines.append(
-                f"  {r['component']:<44} {r['events']:>10}"
-                f" {r['event_share'] * 100:>5.1f}% {r['time_share'] * 100:>5.1f}%"
-                f" {r['est_s']:>8.3f}"
-            )
-        return "\n".join(lines)

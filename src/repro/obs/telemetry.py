@@ -1,29 +1,23 @@
-"""Wall-clock profiling of simulation runs.
+"""Process-level memory telemetry.
 
-:class:`RunTelemetry` brackets a :meth:`Simulator.run` (or the sliced
-run loop the scenario harness uses) and derives the numbers every
-performance PR needs to prove its wins: wall time, events per wall
-second, the sim-time/wall-time ratio, and peak memory.  The measurements
-come only from clock reads outside the event loop, so profiling a run
-does not perturb it.
+``run_scenario`` times its own slice loop; under
+``ScenarioConfig.telemetry`` it derives wall time, events per wall
+second and the sim-time/wall-time ratio from that one stopwatch and adds
+the peak memory read here.  The measurements come only from reads
+outside the event loop, so profiling a run does not perturb it.
 """
 
 from __future__ import annotations
 
 import sys
-import time
-import tracemalloc
-from typing import Any, Optional
+from typing import Optional
 
 try:  # pragma: no cover - always present on the supported platforms
     import resource
 except ImportError:  # pragma: no cover - windows
     resource = None  # type: ignore[assignment]
 
-from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-
-__all__ = ["RunTelemetry", "peak_rss_bytes"]
+__all__ = ["peak_rss_bytes"]
 
 
 def peak_rss_bytes() -> Optional[int]:
@@ -35,112 +29,3 @@ def peak_rss_bytes() -> Optional[int]:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak) if sys.platform == "darwin" else int(peak) * 1024
-
-
-class RunTelemetry:
-    """Profiles one simulation run's wall-clock behaviour.
-
-    Use as a context manager or via :meth:`start` / :meth:`stop`; the
-    intervals accumulate, so the scenario harness can keep one instance
-    across its run slices.
-
-    Parameters
-    ----------
-    sim:
-        The simulator whose clock and event counter are profiled.
-    track_heap:
-        Also measure the peak *Python heap* via :mod:`tracemalloc`.
-        Accurate but slows the run severalfold; the default reports only
-        the free process-level peak RSS.
-    """
-
-    def __init__(self, sim: Simulator, *, track_heap: bool = False):
-        self.sim = sim
-        self.track_heap = track_heap
-        self.wall_time = 0.0
-        self.events = 0
-        self.sim_time = 0.0
-        self.peak_heap_bytes: Optional[int] = None
-        self._t0: Optional[float] = None
-        self._e0 = 0
-        self._s0 = 0.0
-        self._started_tracemalloc = False
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> "RunTelemetry":
-        """Open a measurement interval."""
-        if self._t0 is not None:
-            raise SimulationError("RunTelemetry.start() while already running")
-        if self.track_heap and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        self._e0 = self.sim.events_processed
-        self._s0 = self.sim.now
-        self._t0 = time.perf_counter()
-        return self
-
-    def stop(self) -> "RunTelemetry":
-        """Close the interval and accumulate its measurements."""
-        if self._t0 is None:
-            raise SimulationError("RunTelemetry.stop() without start()")
-        self.wall_time += time.perf_counter() - self._t0
-        self.events += self.sim.events_processed - self._e0
-        self.sim_time += self.sim.now - self._s0
-        self._t0 = None
-        if self.track_heap and tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            self.peak_heap_bytes = max(self.peak_heap_bytes or 0, int(peak))
-            if self._started_tracemalloc:
-                tracemalloc.stop()
-                self._started_tracemalloc = False
-        return self
-
-    def __enter__(self) -> "RunTelemetry":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-    # -- derived figures -------------------------------------------------
-
-    @property
-    def events_per_sec(self) -> float:
-        """Events executed per wall-clock second."""
-        return self.events / self.wall_time if self.wall_time > 0 else 0.0
-
-    @property
-    def sim_wall_ratio(self) -> float:
-        """Simulated seconds per wall-clock second (>1 is faster than life)."""
-        return self.sim_time / self.wall_time if self.wall_time > 0 else 0.0
-
-    def as_extras(self) -> dict[str, Any]:
-        """The flat record merged into ``RunMetrics.extras``."""
-        out: dict[str, Any] = {
-            "wall_time_s": self.wall_time,
-            "events_per_sec": self.events_per_sec,
-            "sim_wall_ratio": self.sim_wall_ratio,
-            "peak_rss_bytes": peak_rss_bytes(),
-        }
-        if self.peak_heap_bytes is not None:
-            out["peak_heap_bytes"] = self.peak_heap_bytes
-        return out
-
-    def summary_line(self) -> str:
-        """One human-readable line, as printed by ``RunMetrics.summary``."""
-        rss = peak_rss_bytes()
-        parts = [
-            f"wall={self.wall_time:.3f} s",
-            f"events={self.events}",
-            f"rate={self.events_per_sec:,.0f} ev/s",
-            f"sim/wall={self.sim_wall_ratio:.2f}x",
-        ]
-        if rss is not None:
-            parts.append(f"peak_rss={rss / 1e6:.0f} MB")
-        if self.peak_heap_bytes is not None:
-            parts.append(f"peak_heap={self.peak_heap_bytes / 1e6:.1f} MB")
-        return "  ".join(parts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "running" if self._t0 is not None else "stopped"
-        return f"<RunTelemetry {state} {self.summary_line()}>"

@@ -230,8 +230,10 @@ class Simulator:
 
     def call_later_fast(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`call_later` without a cancellation handle (see
-        :meth:`schedule_fast`).  The busiest call in a full-fabric run:
-        every serialisation completion and propagation delivery."""
+        :meth:`schedule_fast`).  Off the per-packet path: a port pushes
+        its deliveries onto the calendar itself, and calls this only to
+        re-deliver a packet whose link failed and recovered
+        mid-serialisation."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         heap = self._heap

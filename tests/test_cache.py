@@ -356,3 +356,25 @@ def test_cached_run_metrics_identical_to_fresh(tmp_path):
     assert cached is not fresh
     assert metrics_to_dict(cached) == metrics_to_dict(fresh)
     assert pickle.dumps(cached, protocol=4) == pickle.dumps(fresh, protocol=4)
+
+
+def test_stored_entry_never_carries_observer_output(tmp_path):
+    """What `put` stores is a function of the key: the observer flags are
+    not in it, so neither is what they write into extras.  The caller's
+    object keeps everything (the ladder reads extras["profile"])."""
+    from repro.cache.key import OBSERVER_EXTRAS
+    from repro.experiments.runner import run_many
+
+    config = ScenarioConfig(scheme="ecmp", n_short=6, n_long=1, n_paths=4,
+                            hosts_per_leaf=8, horizon=0.4)
+    cache = make_cache(tmp_path)
+    [live] = run_many(
+        [config.with_(telemetry=True, profile=True, spans=True)], cache=cache)
+    assert OBSERVER_EXTRAS <= set(live.extras)
+    stored = cache.get(config)
+    assert not OBSERVER_EXTRAS & set(stored.extras)
+    assert stored.extras == {k: v for k, v in live.extras.items()
+                             if k not in OBSERVER_EXTRAS}
+    # ... and equals what an observer-free run stores and returns.
+    assert metrics_to_dict(stored) == metrics_to_dict(
+        run_scenario_metrics(config))

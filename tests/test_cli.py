@@ -174,24 +174,16 @@ def test_record_flags_parse_with_defaults():
     assert args.record_max_samples == 4096
 
 
-def test_bench_command_emits_json_and_report(capsys, tmp_path):
-    import json
+def test_bench_command_is_gone_not_hidden(capsys):
+    """The benchmark ladder (benchmarks/ladder) replaced `repro bench`."""
+    import importlib.util
 
-    json_path = tmp_path / "BENCH.json"
-    html_path = tmp_path / "bench.html"
-    rec_path = tmp_path / "bench.npz"
-    assert main(["bench", "--schemes", "ecmp", "tlb",
-                 "--json", str(json_path), "--html", str(html_path),
-                 "--record", str(rec_path)]) == 0
-    rows = json.loads(json_path.read_text())
-    assert [r["scheme"] for r in rows] == ["ecmp", "tlb"]
-    for row in rows:
-        assert row["short_fct_p99_s"] > 0
-        assert row["extra_wall_time_s"] > 0
-    assert rec_path.exists()
-    assert 'id="panel-qth"' in html_path.read_text(encoding="utf-8")
-    # bench rows are diffable against themselves
-    assert main(["diff", str(json_path), str(json_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    for name in ("repro.experiments.bench", "repro.experiments.microbench"):
+        assert importlib.util.find_spec(name) is None
 
 
 # -- result cache ----------------------------------------------------------
@@ -241,15 +233,30 @@ def test_run_command_cache_cold_then_warm(capsys, tmp_path):
     assert warm.out == cold.out  # identical summary either way
 
 
+def test_run_cache_never_replays_observer_output(capsys, tmp_path):
+    """CSV bytes must not depend on who filled the cache."""
+    base = ["run", "--scheme", "ecmp", "--short-flows", "6",
+            "--long-flows", "1", "--paths", "4",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(base + ["--telemetry"]) == 0
+    assert "telemetry:" in capsys.readouterr().out
+    csv_path = tmp_path / "out" / "m.csv"
+    assert main(base + ["--csv", str(csv_path)]) == 0
+    assert "telemetry:" not in capsys.readouterr().out
+    header = csv_path.read_text().splitlines()[0]
+    for leaked in ("extra_wall", "per_sec", "rss"):
+        assert leaked not in header
+
+
 def test_run_command_cache_ignored_with_trace(capsys, tmp_path):
-    assert main(["run", "--scheme", "ecmp", "--short-flows", "6",
-                 "--long-flows", "1", "--paths", "4",
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--trace", str(tmp_path / "t.jsonl")]) == 0
-    err = capsys.readouterr().err
-    assert "--cache ignored" in err
-    assert not (tmp_path / "cache").exists() or not list(
-        (tmp_path / "cache" / "objects").iterdir())
+    for observer in (["--trace", str(tmp_path / "t.jsonl")], ["--telemetry"]):
+        assert main(["run", "--scheme", "ecmp", "--short-flows", "6",
+                     "--long-flows", "1", "--paths", "4",
+                     "--cache-dir", str(tmp_path / "cache")] + observer) == 0
+        err = capsys.readouterr().err
+        assert "--cache ignored" in err
+        assert not (tmp_path / "cache").exists() or not list(
+            (tmp_path / "cache" / "objects").iterdir())
 
 
 def test_sweep_command_cache_warm_pass(capsys, tmp_path):
@@ -305,20 +312,6 @@ def test_figure_command_threads_cache(capsys, monkeypatch, tmp_path):
     captured = capsys.readouterr()
     assert "plain figure web_search" in captured.out
     assert "cannot use the result cache" in captured.err
-
-
-def test_run_cache_bench_tiny(tmp_path):
-    from repro.experiments.bench import format_cache_bench, run_cache_bench
-
-    row = run_cache_bench(seed=1, cache_dir=tmp_path / "cache",
-                          schemes=("ecmp",), loads=(0.3,), n_flows=5,
-                          processes=0)
-    assert row["tasks"] == 1
-    assert row["cold_misses"] == 1 and row["cold_hits"] == 0
-    assert row["warm_hits"] == 1 and row["warm_misses"] == 0
-    assert row["byte_identical"] is True
-    text = format_cache_bench(row)
-    assert "results identical: True" in text
 
 
 # -- flow forensics (spans / explain / profile) -----------------------------
@@ -436,14 +429,6 @@ def test_explain_flags_parse():
     assert args.flow == 7 and args.format == "json"
     args = build_parser().parse_args(["explain", "x.spans.json"])
     assert args.tail == 5 and args.hops == 12 and args.format == "text"
-
-
-def test_bench_profile_and_spans_smoke_flags_parse():
-    args = build_parser().parse_args(["bench", "--micro", "--profile"])
-    assert args.profile and args.micro
-    args = build_parser().parse_args(
-        ["bench", "--spans-smoke", "--max-overhead-pct", "25"])
-    assert args.spans_smoke and args.max_overhead_pct == 25.0
 
 
 # -- observability: metrics files + mission control -------------------------

@@ -209,11 +209,6 @@ TABULATE_PINS = {'asymmetry': '29e8fde67f9045383572148750030a13bc9cacdf1e7860b59
  'testbed': '440e367440dc0d6b95a27286097a113e260c80741c016fd2b70d89a4ec2b48b1',
  'workloads': 'ce62135b6bf16d7c4111b8aa322bd880903ac6bb6421320d331b17652400d605'}
 OPTION_SURFACE = {'repro': ['--help', '--version', '-h'],
- 'repro bench': ['--baseline', '--cache-bench', '--cache-dir', '--help',
-                 '--html', '--json', '--max-overhead-pct', '--micro',
-                 '--micro-scale', '--processes', '--profile', '--record',
-                 '--repeats', '--require-identical', '--schemes', '--seed',
-                 '--spans-smoke', '-h'],
  'repro cache': ['--cache-dir', '--help', '-h'],
  'repro cache clear': ['--help', '-h'],
  'repro cache gc': ['--help', '--max-size', '-h'],

@@ -5,12 +5,11 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.obs import (
     CountingTracer,
     JsonlTracer,
     ProgressReporter,
-    RunTelemetry,
     TeeTracer,
     build_manifest,
     format_trace_summary,
@@ -132,66 +131,7 @@ def test_tee_close_propagates(tmp_path):
     assert (tmp_path / "t.jsonl").read_text().strip() != ""
 
 
-# -- RunTelemetry --------------------------------------------------------
-
-
-def _busy_sim(n=500):
-    sim = Simulator()
-
-    def tick(k):
-        if k > 0:
-            sim.call_later(1e-4, tick, k - 1)
-
-    sim.call_later(0.0, tick, n)
-    return sim
-
-
-def test_run_telemetry_measures_a_run():
-    sim = _busy_sim()
-    telem = RunTelemetry(sim)
-    with telem:
-        sim.run()
-    assert telem.events == 501
-    assert telem.wall_time > 0
-    assert telem.events_per_sec > 0
-    assert telem.sim_time == pytest.approx(0.05, rel=1e-6)
-    extras = telem.as_extras()
-    for key in ("wall_time_s", "events_per_sec", "sim_wall_ratio",
-                "peak_rss_bytes"):
-        assert key in extras
-    assert "wall=" in telem.summary_line()
-
-
-def test_run_telemetry_accumulates_across_intervals():
-    sim = _busy_sim(100)
-    telem = RunTelemetry(sim)
-    telem.start()
-    sim.run(until=0.005)
-    telem.stop()
-    first = telem.events
-    telem.start()
-    sim.run()
-    telem.stop()
-    assert telem.events == 101
-    assert telem.events > first
-
-
-def test_run_telemetry_misuse_raises():
-    telem = RunTelemetry(Simulator())
-    with pytest.raises(SimulationError):
-        telem.stop()
-    telem.start()
-    with pytest.raises(SimulationError):
-        telem.start()
-
-
-def test_run_telemetry_track_heap():
-    sim = _busy_sim(50)
-    with RunTelemetry(sim, track_heap=True) as telem:
-        sim.run()
-    assert telem.peak_heap_bytes is not None
-    assert telem.peak_heap_bytes > 0
-    assert "peak_heap_bytes" in telem.as_extras()
+# -- telemetry -----------------------------------------------------------
 
 
 def test_peak_rss_is_positive_when_available():

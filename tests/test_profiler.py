@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.metrics.export import metrics_to_dict
-from repro.obs.profiler import EngineProfiler, format_profile
+from repro.obs.profiler import EngineProfiler
 from repro.sim.engine import Simulator
 
 
@@ -83,9 +83,6 @@ def test_component_rows_and_report_shape():
     report = prof.report(top=8)
     assert report["events"] == prof.total_events
     assert report["sample_every"] == 1
-    text = prof.format_report()
-    assert "_Ping.fire" in text and "profile:" in text
-    assert "_Ping.fire" in format_profile(report)
 
 
 def test_profiler_resumes_across_run_calls():
