@@ -105,13 +105,27 @@ def _canon_workload(spec: str) -> str:
         return spec
 
 
+def _canon_faults(spec: str) -> str:
+    """Canonicalise the faults axis via the schedule's own (lossless) spec
+    form: two spellings of one schedule — event order, spacing, number
+    form, an explicit default mode — fill one set of cells.  Unparseable
+    strings pass through verbatim, as in :func:`_canon_workload`."""
+    from repro.errors import FaultError
+    from repro.faults import FaultSchedule
+
+    try:
+        return FaultSchedule.from_spec(spec).spec()
+    except FaultError:
+        return spec
+
+
 def canonical_config(config: Any) -> dict[str, Any]:
     """The semantic fields of a config, canonicalised for hashing.
 
     Works on any dataclass; fields named in :data:`NON_SEMANTIC_FIELDS`
     are dropped.  A string ``workload`` field is additionally routed
-    through the scenario registry's canonical form (see
-    :func:`_canon_workload`).
+    through the scenario registry's canonical form (:func:`_canon_workload`)
+    and a non-empty ``faults`` string through :func:`_canon_faults`.
     """
     if not (dataclasses.is_dataclass(config) and not isinstance(config, type)):
         raise TypeError(
@@ -123,6 +137,8 @@ def canonical_config(config: Any) -> dict[str, Any]:
     }
     if isinstance(out.get("workload"), str):
         out["workload"] = _canon_workload(out["workload"])
+    if isinstance(out.get("faults"), str) and out["faults"]:
+        out["faults"] = _canon_faults(out["faults"])
     return out
 
 

@@ -135,6 +135,16 @@ def _add_grid_args(parser: argparse.ArgumentParser, *, progress_help: str,
     parser.add_argument("--progress", action="store_true", help=progress_help)
 
 
+def _reads_load_axis(workload: str) -> bool:
+    """Whether ``ScenarioConfig.load`` reaches ``workload``'s flows (a spec
+    with its own ``load=``, ``static``, ``incast:``, ``diurnal:`` ignore it)."""
+    from repro.workload.scenarios import LEGACY_WORKLOADS, parse_scenario
+
+    if workload in LEGACY_WORKLOADS:
+        return workload == "poisson"
+    return parse_scenario(workload).reads_load_axis()
+
+
 def _grid_configs(args: argparse.Namespace) -> list:
     """The cells the grid flags describe, in grid order."""
     from repro.experiments.largescale import default_config, load_grid
@@ -144,6 +154,14 @@ def _grid_configs(args: argparse.Namespace) -> list:
         # Scenario grids need a multi-leaf fabric for cross-leaf skew.
         config = config.with_(workload=args.workload, n_leaves=4,
                               hosts_per_leaf=16)
+        if len(set(args.loads)) > 1 and not _reads_load_axis(args.workload):
+            from repro.errors import ConfigError
+
+            raise ConfigError(
+                f"--loads {' '.join(f'{l:g}' for l in args.loads)}: workload"
+                f" {args.workload!r} does not read the load axis, so every"
+                " load would be a differently-labelled copy of one run;"
+                " drop load= from the spec, or pass one --loads value")
     if args.faults:
         config = config.with_(faults=args.faults)
     return load_grid(config, args.schemes, args.loads)
@@ -382,11 +400,19 @@ def _cmd_workloads() -> int:
     from repro.workload.scenarios import (
         EXAMPLE_SPECS, SCENARIO_ALIASES, SCENARIO_KINDS)
 
-    print("scenario kinds (spec grammar: kind:key=value,key=value):")
-    for kind in sorted(SCENARIO_KINDS):
+    print("scenario kinds (spec grammar: kind:key=value,key=value;"
+          " a bare name is read from the config, cdf's file is required):")
+    for kind, cls in sorted(SCENARIO_KINDS.items()):
+        # mix has no key=value parameters: its grammar is the example
+        params = " ".join(
+            name if default is None else f"{name}={default:g}"
+            for name, (_, default, _) in cls.PARAMS.items()
+        ) or "NAME@WEIGHT+NAME@WEIGHT..."
         example = EXAMPLE_SPECS.get(kind)
         suffix = f"  e.g. {example}" if example else ""
-        print(f"  {kind}{suffix}")
+        print(f"  {kind:<8} {params}{suffix}")
+    print("times take us/ms/s suffixes, sizes B/KB/MB; defaults are in"
+          " seconds and bytes")
     print("aliases:")
     for alias, expansion in sorted(SCENARIO_ALIASES.items()):
         print(f"  {alias} = {expansion}")

@@ -60,22 +60,15 @@ class EmaEstimator:
 
 
 class DeadlineStats:
-    """Percentile of observed flow deadlines.
-
-    Two backends:
-
-    * ``streaming=False`` (default) — sliding window + lazy exact sort:
-      exact within the window, recomputed at the 500 µs calculator tick;
-    * ``streaming=True`` — the O(1)-memory P² estimator
-      (:class:`~repro.metrics.quantiles.P2Quantile`) over the whole
-      stream, for switches tracking far more flows than a window holds.
+    """Percentile of observed flow deadlines: a sliding window with a
+    lazy exact sort — exact within the window, recomputed at the 500 µs
+    calculator tick.
     """
 
     __slots__ = ("percentile", "default", "_window", "_dirty", "_cached",
-                 "_p2", "_count")
+                 "_count")
 
-    def __init__(self, percentile: float, default: float, window: int = 512,
-                 streaming: bool = False):
+    def __init__(self, percentile: float, default: float, window: int = 512):
         if not 0 < percentile < 100:
             raise ConfigError(f"percentile must be in (0, 100), got {percentile!r}")
         if default <= 0:
@@ -88,21 +81,12 @@ class DeadlineStats:
         self._dirty = False
         self._cached = self.default
         self._count = 0
-        if streaming:
-            from repro.metrics.quantiles import P2Quantile
-
-            self._p2 = P2Quantile(percentile / 100.0)
-        else:
-            self._p2 = None
 
     def observe(self, deadline: float) -> None:
         """Record one (relative) deadline, in seconds."""
         if deadline <= 0:
             raise ConfigError(f"deadline must be positive, got {deadline!r}")
         self._count += 1
-        if self._p2 is not None:
-            self._p2.observe(deadline)
-            return
         self._window.append(deadline)
         self._dirty = True
 
@@ -114,11 +98,9 @@ class DeadlineStats:
         """The configured percentile (the default until the first
         observation).
 
-        The windowed backend recomputes lazily — the forwarding hot path
-        only appends; the 500 µs calculator tick pays for the sort.
+        Recomputed lazily — the forwarding hot path only appends; the
+        500 µs calculator tick pays for the sort.
         """
-        if self._p2 is not None:
-            return self._p2.value() if self._count else self.default
         if self._dirty:
             self._cached = float(np.percentile(np.fromiter(self._window, dtype=float),
                                                self.percentile))

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.config import TlbConfig
 from repro.core.flow_table import FlowEntry, FlowTable
-from repro.core.granularity_calculator import GranularityCalculator, QthDecision
+from repro.core.granularity_calculator import GranularityCalculator
 from repro.core.load_estimator import DeadlineStats, EmaEstimator, LoadEstimator
 from repro.lb.base import LoadBalancer, shortest_queue_index
 from repro.lb.registry import register_scheme
@@ -63,9 +63,6 @@ class TlbBalancer(LoadBalancer):
         self.calculator = GranularityCalculator(cfg, n_paths, link_rate, buffer_packets)
         self.qth = cfg.fixed_qth if cfg.fixed_qth is not None else cfg.min_qth
         self._timer: Optional[PeriodicTimer] = None
-        #: decision history: (time, QthDecision); populated when tracing
-        self.qth_history: list[tuple[float, QthDecision]] = []
-        self.record_history = False
         #: audit hooks invoked as ``fn(now, balancer, decision)`` after
         #: every granularity update (the flight recorder registers here);
         #: empty by default so the tick pays nothing when nobody listens
@@ -115,8 +112,6 @@ class TlbBalancer(LoadBalancer):
         )
         self.qth = decision.qth
         self.last_regime = decision.regime
-        if self.record_history:
-            self.qth_history.append((now, decision))
         if self.decision_listeners:
             for fn in self.decision_listeners:
                 fn(now, self, decision)

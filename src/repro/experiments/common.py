@@ -261,7 +261,7 @@ def _install_workload(config: ScenarioConfig, net, registry) -> WorkloadResult:
 
 
 def run_scenario(
-    config: ScenarioConfig, *, tracer=None, recorder=None, spans=None
+    config: ScenarioConfig, *, tracer=None, recorder=None
 ) -> ScenarioResult:
     """Build, run and measure one scenario.
 
@@ -280,13 +280,12 @@ def run_scenario(
         FCT subscription) and its queueing-delay tap is tee'd into the
         trace stream; it is stopped and finalized before returning.
         ``None`` (the default) leaves every run path untouched.
-    spans:
-        Optional :class:`~repro.obs.spans.SpanBuffer`, overriding the
-        one ``config.spans`` would build.  It is installed as a trace
-        sink, attached to the registry/balancers, and finalized before
-        returning (the caller saves it).
+
+    ``config.spans`` adds a :class:`~repro.obs.spans.SpanBuffer` as a trace
+    sink, finalized into ``result.spans`` (the caller saves it).
     """
-    if spans is None and config.spans:
+    spans = None
+    if config.spans:
         from repro.obs.spans import SpanBuffer
 
         spans = SpanBuffer(config.seed, short_threshold=config.short_threshold)

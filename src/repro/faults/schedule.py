@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.errors import FaultError
+from repro.units import short_float
 
 __all__ = [
     "FaultEvent",
@@ -111,14 +112,15 @@ class FaultEvent:
         return self.node  # type: ignore[return-value]
 
     def spec(self) -> str:
-        """This event in ``time:kind:target[:arg]`` spec form."""
-        parts = [f"{self.time:g}", self.kind, self.target]
+        """This event in ``time:kind:target[:arg]`` spec form (lossless:
+        :meth:`parse` gives back an equal event)."""
+        parts = [short_float(self.time), self.kind, self.target]
         if self.kind == "link_down" and self.mode != "drop":
             parts.append(self.mode)
         elif self.kind == "degrade":
-            parts.append(f"{self.rate_factor:g}")
+            parts.append(short_float(self.rate_factor))
         elif self.kind == "loss_start":
-            parts.append(f"{self.loss_rate:g}")
+            parts.append(short_float(self.loss_rate))
         return ":".join(parts)
 
     @classmethod

@@ -19,7 +19,6 @@ from repro.metrics.utilization import jain_index, port_utilizations
 from repro.metrics.overhead import OverheadModel, SchemeOverhead
 from repro.metrics.collector import MetricsCollector, RunMetrics
 from repro.metrics.monitor import QueueMonitor
-from repro.metrics.quantiles import P2Quantile
 from repro.metrics.export import (
     metrics_to_dict,
     write_metrics_csv,
@@ -46,7 +45,6 @@ __all__ = [
     "MetricsCollector",
     "RunMetrics",
     "QueueMonitor",
-    "P2Quantile",
     "metrics_to_dict",
     "write_metrics_csv",
     "write_metrics_json",

@@ -14,7 +14,7 @@ import numpy as np
 from repro.transport.flow import FlowStats
 from repro.units import KB
 
-__all__ = ["FctSummary", "fct_summary", "split_by_size", "fct_cdf"]
+__all__ = ["FctSummary", "fct_summary", "is_short", "split_by_size", "fct_cdf"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,14 @@ def fct_summary(stats: Iterable[FlowStats]) -> FctSummary:
     )
 
 
+def is_short(size: int, short_threshold: int = KB(100)) -> bool:
+    """The size-class rule, stated once: a flow is short when *strictly*
+    under the threshold (the paper's "<100 KB"), so a flow of exactly
+    ``short_threshold`` bytes is long.  Metrics, deadlines, the flight
+    recorder and span files all classify through this."""
+    return size < short_threshold
+
+
 def split_by_size(
     stats: Iterable[FlowStats], short_threshold: int = KB(100)
 ) -> tuple[list[FlowStats], list[FlowStats]]:
@@ -67,7 +75,7 @@ def split_by_size(
     short: list[FlowStats] = []
     long_: list[FlowStats] = []
     for s in stats:
-        (short if s.flow.size < short_threshold else long_).append(s)
+        (short if is_short(s.flow.size, short_threshold) else long_).append(s)
     return short, long_
 
 

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.metrics.fct import is_short
 from repro.metrics.timeseries import BinnedSeries
 from repro.sim.trace import RecordingTracer
 from repro.transport.flow import FlowRegistry
@@ -25,7 +26,7 @@ __all__ = ["queue_length_samples", "queue_wait_series", "queue_wait_samples",
 
 
 def _flow_is_short(registry: FlowRegistry, flow_id: int, threshold: int) -> bool:
-    return registry.flow(flow_id).size < threshold
+    return is_short(registry.flow(flow_id).size, threshold)
 
 
 def queue_length_samples(

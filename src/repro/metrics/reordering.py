@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.metrics.fct import is_short
 from repro.metrics.timeseries import BinnedSeries
 from repro.transport.flow import Flow, FlowStats
 from repro.units import KB, milliseconds
@@ -68,7 +69,8 @@ class DupAckTracker:
 
     def on_dupack(self, flow: Flow, time: float) -> None:
         """Registry dup-ACK callback."""
-        series = self._short if flow.size < self.short_threshold else self._long
+        series = (self._short if is_short(flow.size, self.short_threshold)
+                  else self._long)
         series.add(time, 1.0)
 
     def short_series(self) -> BinnedSeries:

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.metrics.fct import is_short
 from repro.metrics.timeseries import BinnedSeries
 from repro.transport.flow import Flow, FlowRegistry, FlowStats
 from repro.units import KB, milliseconds
@@ -41,7 +42,8 @@ class ThroughputTracker:
 
     def on_delivery(self, flow: Flow, time: float, nbytes: int) -> None:
         """Registry delivery callback."""
-        series = self._short if flow.size < self.short_threshold else self._long
+        series = (self._short if is_short(flow.size, self.short_threshold)
+                  else self._long)
         series.add(time, nbytes)
 
     def short_series(self) -> BinnedSeries:
@@ -69,7 +71,7 @@ def long_flow_goodputs(
     """
     out: list[float] = []
     for s in stats:
-        if s.flow.size < short_threshold:
+        if is_short(s.flow.size, short_threshold):
             continue
         if s.goodput is not None:
             out.append(s.goodput)

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro._version import __version__
 from repro.errors import ConfigError
+from repro.metrics.fct import is_short
 from repro.metrics.histogram import LogHistogram
 from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import Tracer
@@ -210,7 +211,7 @@ class FlightRecorder:
         fct = stats.fct
         if fct is None:
             return
-        if stats.flow.size < self.short_threshold:
+        if is_short(stats.flow.size, self.short_threshold):
             self.fct_short.observe(fct)
         else:
             self.fct_long.observe(fct)
@@ -246,7 +247,7 @@ class FlightRecorder:
             for s in self._registry.all_stats():
                 retx += s.retransmits
                 if s.syn_sent is not None and s.completed is None:
-                    if s.flow.size < threshold:
+                    if is_short(s.flow.size, threshold):
                         active_short += 1
                     else:
                         active_long += 1

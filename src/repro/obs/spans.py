@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.errors import ConfigError
+from repro.metrics.fct import is_short
 from repro.sim.trace import Tracer
 from repro.units import KB
 
@@ -296,7 +297,8 @@ class SpanBuffer(Tracer):
         if span is None:
             span = self._flows[stats.flow.id] = FlowSpan(stats.flow.id)
         span.fct = stats.fct
-        cls = "short" if stats.flow.size <= self.short_threshold else "long"
+        cls = ("short" if is_short(stats.flow.size, self.short_threshold)
+               else "long")
         span.size_class = cls
         if span.hops is None:
             return
@@ -333,7 +335,8 @@ class SpanBuffer(Tracer):
                     flow = None
                 if flow is not None:
                     span.size_class = (
-                        "short" if flow.size <= self.short_threshold else "long")
+                        "short" if is_short(flow.size, self.short_threshold)
+                        else "long")
             if span.size_class is None and span.retained is None and span.hops is not None:
                 # No registry to consult (unit-test use): sample-only policy.
                 if self._is_sampled(span.flow_id):

@@ -123,3 +123,14 @@ def serialization_delay(nbytes: int, rate_bps: float) -> float:
 def bytes_in_interval(rate_bps: float, interval: float) -> float:
     """How many bytes a link of ``rate_bps`` drains in ``interval`` seconds."""
     return rate_bps * interval / BITS_PER_BYTE
+
+
+# --- spec rendering --------------------------------------------------------
+
+def short_float(value: float) -> str:
+    """The shortest rendering of ``value`` that parses back to it (``%g``
+    when that round-trips, else ``repr``): canonical spec strings feed
+    cache keys, where a lossy form lets two different cells share an entry.
+    """
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)

@@ -41,6 +41,7 @@ from repro.workload.generator import (
     PoissonWorkload,
     StaticWorkload,
     WorkloadResult,
+    install_flows,
 )
 from repro.workload.incast import IncastWorkload, request_completion_times
 from repro.workload.traces import TraceWorkload, read_trace, write_trace
@@ -56,6 +57,7 @@ __all__ = [
     "PoissonWorkload",
     "StaticWorkload",
     "WorkloadResult",
+    "install_flows",
     "IncastWorkload",
     "request_completion_times",
     "TraceWorkload",

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.metrics.fct import is_short
 from repro.units import KB, milliseconds
 
 __all__ = ["UniformDeadlines"]
@@ -45,7 +46,7 @@ class UniformDeadlines:
         sizes = np.asarray(sizes)
         draws = rng.uniform(self.lo, self.hi, size=len(sizes))
         return [
-            float(d) if s < self.short_threshold else None
+            float(d) if is_short(s, self.short_threshold) else None
             for s, d in zip(sizes, draws)
         ]
 

@@ -14,12 +14,16 @@ Two generators cover the paper's scenarios:
 Both draw every random quantity from named RNG streams of the network's
 registry, so workloads are identical across schemes compared at the same
 seed (paired comparisons).
+
+A workload is a flow list: these generators and every scenario kind of
+:mod:`repro.workload.scenarios` build a ``list[Flow]`` for
+:func:`install_flows`, and share the one §6.2 pair process defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Type
+from typing import Iterable, Optional, Sequence, Type
 
 import numpy as np
 
@@ -33,7 +37,8 @@ from repro.units import KB, MB
 from repro.workload.deadlines import UniformDeadlines
 from repro.workload.distributions import FlowSizeDistribution, UniformSize
 
-__all__ = ["WorkloadResult", "PoissonWorkload", "StaticWorkload"]
+__all__ = ["WorkloadResult", "install_flows", "arrival_rate", "poisson_arrivals",
+           "cross_leaf_pairs", "make_flows", "PoissonWorkload", "StaticWorkload"]
 
 
 @dataclass
@@ -76,30 +81,78 @@ class WorkloadResult:
         return sum(f.size for f in self.flows)
 
 
-def _install_listeners(net: Network, registry: FlowRegistry) -> None:
+def install_flows(
+    net: Network,
+    registry: FlowRegistry,
+    flows: Iterable[Flow],
+    sender_cls: Type[TcpSender] = DctcpSender,
+    tcp_config: Optional[TcpConfig] = None,
+) -> WorkloadResult:
+    """Register ``flows``, create their senders, schedule their starts —
+    the one installer behind every workload's ``install()``."""
     listener = make_listener(net.sim, registry)
     for host in net.hosts.values():
         if host.listener is None:
             host.set_listener(listener)
+    result = WorkloadResult()
+    for flow in flows:
+        if flow.id in result.senders:
+            raise ConfigError(
+                f"duplicate flow id {flow.id} in one workload; generators"
+                " composed into one result need disjoint flow_id_base ranges")
+        stats = registry.add(flow)
+        sender = sender_cls(net.sim, net.hosts[flow.src], flow, stats, tcp_config)
+        net.sim.schedule(flow.start_time, sender.start)
+        result.flows.append(flow)
+        result.senders[flow.id] = sender
+    return result
 
 
-def _schedule_flow(
-    net: Network,
-    registry: FlowRegistry,
-    flow: Flow,
-    sender_cls: Type[TcpSender],
-    tcp_config: Optional[TcpConfig],
-    result: WorkloadResult,
-) -> None:
-    if flow.id in result.senders:
-        raise ConfigError(
-            f"duplicate flow id {flow.id} in one workload; generators"
-            " composed into one result need disjoint flow_id_base ranges")
-    stats = registry.add(flow)
-    sender = sender_cls(net.sim, net.hosts[flow.src], flow, stats, tcp_config)
-    net.sim.schedule(flow.start_time, sender.start)
-    result.flows.append(flow)
-    result.senders[flow.id] = sender
+# --- the §6.2 pair process -------------------------------------------------
+
+def arrival_rate(net: Network, load: float, mean_size: float) -> float:
+    """Flow arrivals per second that offer ``load`` (a fraction of the
+    aggregate leaf→spine capacity) at ``mean_size`` bytes per flow."""
+    cfg = net.config
+    fabric_bps = cfg.effective_fabric_rate * cfg.n_leaves * cfg.n_spines
+    return load * fabric_bps / (8.0 * mean_size)
+
+
+def poisson_arrivals(rng, lam: float, n: int) -> np.ndarray:
+    """``n`` arrival times of a rate-``lam`` Poisson process from t=0."""
+    if lam <= 0:
+        raise ConfigError(f"non-positive arrival rate {lam!r}")
+    return np.cumsum(rng.exponential(1.0 / lam, size=n))
+
+
+def cross_leaf_pairs(net: Network, rng, n: int) -> list[tuple[str, str]]:
+    """Uniform random host pairs that always cross leaves (the paper's
+    multi-path setting; intra-leaf draws are redrawn)."""
+    hosts = [h.name for h in net.host_list()]
+    leaf_of = net.leaf_of
+    pairs = []
+    for _ in range(n):
+        src = hosts[int(rng.integers(len(hosts)))]
+        dst = hosts[int(rng.integers(len(hosts)))]
+        while leaf_of[dst] == leaf_of[src]:
+            dst = hosts[int(rng.integers(len(hosts)))]
+        pairs.append((src, dst))
+    return pairs
+
+
+def make_flows(
+    base_id: int,
+    pairs: Sequence[tuple[str, str]],
+    sizes: Sequence[int],
+    arrivals: Sequence[float],
+    deadlines: Sequence[Optional[float]],
+) -> list[Flow]:
+    """Zip per-flow draws into flows with ids contiguous from ``base_id``."""
+    return [
+        Flow(id=base_id + i, src=src, dst=dst, size=int(sizes[i]),
+             start_time=float(arrivals[i]), deadline=deadlines[i])
+        for i, (src, dst) in enumerate(pairs)
+    ]
 
 
 class StaticWorkload:
@@ -135,8 +188,6 @@ class StaticWorkload:
         sender_cls: Type[TcpSender] = DctcpSender,
         tcp_config: Optional[TcpConfig] = None,
         flow_id_base: int = 0,
-        long_start: float = 0.0,
-        short_start: float = 0.0,
         distinct_hosts: bool = False,
     ):
         if n_short < 0 or n_long < 0:
@@ -165,13 +216,10 @@ class StaticWorkload:
         self.sender_cls = sender_cls
         self.tcp_config = tcp_config
         self.flow_id_base = int(flow_id_base)
-        self.long_start = float(long_start)
-        self.short_start = float(short_start)
 
     def install(self) -> WorkloadResult:
         """Register flows, create senders, schedule starts."""
         net = self.net
-        _install_listeners(net, self.registry)
         senders_pool = [h.name for h in net.hosts_under(net.leaves[0])]
         receivers_pool = [h.name for h in net.hosts_under(net.leaves[1])]
         rng_sizes = net.rngs.stream("workload.sizes")
@@ -183,43 +231,30 @@ class StaticWorkload:
         if self.distinct_hosts:
             src_order = rng_pairs.permutation(len(senders_pool))[:n_flows]
             dst_order = rng_pairs.permutation(len(receivers_pool))[:n_flows]
-            pair_iter = iter(zip(src_order, dst_order))
-
-            def next_pair():
-                si, di = next(pair_iter)
-                return senders_pool[int(si)], receivers_pool[int(di)]
+            pairs = [(senders_pool[int(si)], receivers_pool[int(di)])
+                     for si, di in zip(src_order, dst_order)]
         else:
-            def next_pair():
-                return (
-                    senders_pool[int(rng_pairs.integers(len(senders_pool)))],
-                    receivers_pool[int(rng_pairs.integers(len(receivers_pool)))],
-                )
+            pairs = [
+                (senders_pool[int(rng_pairs.integers(len(senders_pool)))],
+                 receivers_pool[int(rng_pairs.integers(len(receivers_pool)))])
+                for _ in range(n_flows)
+            ]
 
-        result = WorkloadResult()
-        fid = self.flow_id_base
-
-        for _ in range(self.n_long):
-            src, dst = next_pair()
-            flow = Flow(id=fid, src=src, dst=dst, size=self.long_size,
-                        start_time=self.long_start, deadline=None)
-            _schedule_flow(net, self.registry, flow, self.sender_cls,
-                           self.tcp_config, result)
-            fid += 1
-
+        # Long flows first, all at t=0 and deadline-free; the short flows
+        # follow as a Poisson stream over ``short_window``.
+        n_long = self.n_long
+        flows = make_flows(self.flow_id_base, pairs[:n_long],
+                           [self.long_size] * n_long, [0.0] * n_long,
+                           [None] * n_long)
         if self.n_short:
             sizes = self.short_sizes.sample(rng_sizes, self.n_short)
             deadlines = self.deadlines.assign(rng_deadlines, sizes)
             gaps = rng_arrivals.exponential(
                 self.short_window / self.n_short, size=self.n_short)
-            arrivals = self.short_start + np.cumsum(gaps)
-            for i in range(self.n_short):
-                src, dst = next_pair()
-                flow = Flow(id=fid, src=src, dst=dst, size=int(sizes[i]),
-                            start_time=float(arrivals[i]), deadline=deadlines[i])
-                _schedule_flow(net, self.registry, flow, self.sender_cls,
-                               self.tcp_config, result)
-                fid += 1
-        return result
+            flows += make_flows(self.flow_id_base + n_long, pairs[n_long:],
+                                sizes, np.cumsum(gaps), deadlines)
+        return install_flows(net, self.registry, flows, self.sender_cls,
+                             self.tcp_config)
 
 
 class PoissonWorkload:
@@ -250,7 +285,6 @@ class PoissonWorkload:
         sender_cls: Type[TcpSender] = DctcpSender,
         tcp_config: Optional[TcpConfig] = None,
         flow_id_base: int = 0,
-        start: float = 0.0,
     ):
         if not 0 < load <= 1.5:
             raise ConfigError(f"load must be in (0, 1.5], got {load}")
@@ -267,41 +301,22 @@ class PoissonWorkload:
         self.sender_cls = sender_cls
         self.tcp_config = tcp_config
         self.flow_id_base = int(flow_id_base)
-        self.start = float(start)
 
     def arrival_rate(self) -> float:
         """Flow arrivals per second implied by the target load."""
-        cfg = self.net.config
-        fabric_bps = cfg.effective_fabric_rate * cfg.n_leaves * cfg.n_spines
-        return self.load * fabric_bps / (8.0 * self.sizes.mean())
+        return arrival_rate(self.net, self.load, self.sizes.mean())
 
     def install(self) -> WorkloadResult:
         """Register flows, create senders, schedule starts."""
         net = self.net
-        _install_listeners(net, self.registry)
-        rng_sizes = net.rngs.stream("workload.sizes")
-        rng_arrivals = net.rngs.stream("workload.arrivals")
-        rng_pairs = net.rngs.stream("workload.pairs")
-        rng_deadlines = net.rngs.stream("workload.deadlines")
-
         n = self.n_flows
-        lam = self.arrival_rate()
-        arrivals = self.start + np.cumsum(rng_arrivals.exponential(1.0 / lam, size=n))
-        sizes = self.sizes.sample(rng_sizes, n)
-        deadlines = self.deadlines.assign(rng_deadlines, sizes)
-
-        hosts = [h.name for h in net.host_list()]
-        leaf_of = net.leaf_of
-        result = WorkloadResult()
-        fid = self.flow_id_base
-        for i in range(n):
-            src = hosts[int(rng_pairs.integers(len(hosts)))]
-            dst = hosts[int(rng_pairs.integers(len(hosts)))]
-            while leaf_of[dst] == leaf_of[src]:
-                dst = hosts[int(rng_pairs.integers(len(hosts)))]
-            flow = Flow(id=fid, src=src, dst=dst, size=int(sizes[i]),
-                        start_time=float(arrivals[i]), deadline=deadlines[i])
-            _schedule_flow(net, self.registry, flow, self.sender_cls,
-                           self.tcp_config, result)
-            fid += 1
-        return result
+        arrivals = poisson_arrivals(
+            net.rngs.stream("workload.arrivals"), self.arrival_rate(), n)
+        sizes = self.sizes.sample(net.rngs.stream("workload.sizes"), n)
+        deadlines = self.deadlines.assign(
+            net.rngs.stream("workload.deadlines"), sizes)
+        pairs = cross_leaf_pairs(net, net.rngs.stream("workload.pairs"), n)
+        return install_flows(
+            net, self.registry,
+            make_flows(self.flow_id_base, pairs, sizes, arrivals, deadlines),
+            self.sender_cls, self.tcp_config)

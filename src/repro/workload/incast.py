@@ -27,7 +27,7 @@ from repro.transport.dctcp import DctcpSender
 from repro.transport.flow import Flow, FlowRegistry
 from repro.transport.tcp import TcpConfig, TcpSender
 from repro.units import KB
-from repro.workload.generator import WorkloadResult, _install_listeners, _schedule_flow
+from repro.workload.generator import WorkloadResult, install_flows
 
 __all__ = ["IncastRequest", "IncastWorkload", "request_completion_times"]
 
@@ -109,12 +109,11 @@ class IncastWorkload:
     def install(self) -> WorkloadResult:
         """Register all requests' response flows and schedule them."""
         net = self.net
-        _install_listeners(net, self.registry)
         workers = [h.name for h in net.hosts_under(net.leaves[0])]
         aggregators = [h.name for h in net.hosts_under(net.leaves[1])]
         rng = net.rngs.stream("workload.incast")
 
-        result = WorkloadResult()
+        flows = []
         fid = self.flow_id_base
         epoch = 0.0
         for rid in range(self.n_requests):
@@ -124,15 +123,14 @@ class IncastWorkload:
             chosen = rng.permutation(len(workers))[: self.fanout]
             for w in chosen:
                 start = epoch + float(rng.uniform(0.0, self.jitter))
-                flow = Flow(id=fid, src=workers[int(w)], dst=agg,
-                            size=self.response_size, start_time=start,
-                            deadline=self.deadline)
-                _schedule_flow(net, self.registry, flow, self.sender_cls,
-                               self.tcp_config, result)
+                flows.append(Flow(id=fid, src=workers[int(w)], dst=agg,
+                                  size=self.response_size, start_time=start,
+                                  deadline=self.deadline))
                 req.flow_ids.append(fid)
                 fid += 1
             self.requests.append(req)
-        return result
+        return install_flows(net, self.registry, flows, self.sender_cls,
+                             self.tcp_config)
 
 
 def request_completion_times(

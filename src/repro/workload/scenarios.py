@@ -23,22 +23,9 @@ Spec format
     hotspot:leaves=2,dwell=200ms
     mix:tenantA@0.7+incast@0.3
 
-==============  =========================================================
-kind            parameters (defaults in brackets)
-==============  =========================================================
-``poisson``     ``sizes`` [config], ``load`` [config], ``flows`` [config]
-``cdf``         ``file`` (size,cdf rows), ``load``, ``flows``
-``zipf``        ``s`` [1.2] host-popularity exponent, ``sizes``,
-                ``load``, ``flows``
-``incast``      ``fanin`` [16], ``period`` [10ms], ``size`` [32KB],
-                ``requests`` [flows // fanin], ``jitter`` [500us]
-``diurnal``     ``peak`` [0.8], ``trough`` [0.2], ``period`` [1s],
-                ``sizes``, ``flows``
-``hotspot``     ``leaves`` [1], ``dwell`` [200ms], ``bias`` [0.9],
-                ``sizes``, ``load``, ``flows``
-``mix``         ``NAME@WEIGHT+NAME@WEIGHT...`` over registered kinds or
-                aliases; flow budget split by weight, disjoint id ranges
-==============  =========================================================
+Each kind declares its parameters once, in its ``PARAMS`` table; ``repro
+workloads`` prints every kind's parameters and defaults from it (a bare
+name defaults to the config's ``sizes`` / ``load`` / ``n_flows``).
 
 Times accept ``us``/``ms``/``s`` suffixes (bare numbers are seconds);
 sizes accept ``B``/``KB``/``MB`` (bare numbers are bytes).  Aliases
@@ -49,21 +36,22 @@ one cache cell.
 Every random quantity draws from named RNG streams of the network's
 registry, so a scenario installs byte-identically across schemes at the
 same seed (paired comparisons), and ``parse(spec).canonical()`` is a
-fixed point suitable for hashing.
+lossless fixed point suitable for hashing: two specs share a canonical
+string only when they describe the same scenario.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Type
+from typing import TYPE_CHECKING, Collection, Optional, Type
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.transport.dctcp import DctcpSender
 from repro.transport.flow import Flow, FlowRegistry
-from repro.units import KB
+from repro.units import KB, short_float
 from repro.workload.deadlines import UniformDeadlines
 from repro.workload.distributions import (
     FlowSizeDistribution,
@@ -72,8 +60,11 @@ from repro.workload.distributions import (
 )
 from repro.workload.generator import (
     WorkloadResult,
-    _install_listeners,
-    _schedule_flow,
+    arrival_rate,
+    cross_leaf_pairs,
+    install_flows,
+    make_flows,
+    poisson_arrivals,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,6 +88,10 @@ LEGACY_WORKLOADS = ("static", "poisson")
 
 
 # --- spec field parsing ----------------------------------------------------
+
+def _text(value: str, spec: str) -> str:
+    return value
+
 
 def _num(value: str, spec: str) -> float:
     try:
@@ -132,7 +127,7 @@ def _parse_int(value: str, spec: str) -> int:
             from None
 
 
-def _parse_params(rest: str, spec: str, allowed: tuple[str, ...]) -> dict[str, str]:
+def _parse_params(rest: str, spec: str, allowed: Collection[str]) -> dict[str, str]:
     """Split ``k=v,k=v`` into a dict, validating keys against ``allowed``."""
     params: dict[str, str] = {}
     for chunk in (c.strip() for c in rest.split(",")):
@@ -155,12 +150,36 @@ def _parse_params(rest: str, spec: str, allowed: tuple[str, ...]) -> dict[str, s
 
 
 def _fmt(value) -> str:
-    """Canonical value rendering: shortest float form, bare seconds/bytes."""
+    """Canonical value rendering: shortest lossless float form, bare
+    seconds/bytes."""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return f"{value:g}"
+        return short_float(value)
     return str(value)
+
+
+# --- parameter checks (the third column of a PARAMS row) -------------------
+
+def _within(lo: float, hi: float = float("inf"), *, closed: bool = False):
+    """Range check ``lo < value <= hi`` (``lo <= value`` when ``closed``)."""
+    def check(value, what: str) -> None:
+        if not ((lo <= value if closed else lo < value) and value <= hi):
+            raise ConfigError(
+                f"{what} must be in {'[' if closed else '('}{lo:g}, {hi:g}],"
+                f" got {value}")
+    return check
+
+
+def _known_sizes(value: str, what: str) -> None:
+    named_distribution(value)  # validate eagerly
+
+
+#: parameter rows shared by the Poisson-family kinds; a ``None`` default
+#: reads the value from the config (sizes / load / n_flows)
+_SIZES = (_text, None, _known_sizes)
+_LOAD = (_num, None, _within(0, 1.5))
+_FLOWS = (_parse_int, None, _within(1, closed=True))
 
 
 # --- config defaults -------------------------------------------------------
@@ -180,56 +199,9 @@ def _deadlines(config) -> UniformDeadlines:
     )
 
 
-def _resolve_sizes(name: Optional[str], config) -> FlowSizeDistribution:
-    return named_distribution(
-        name if name is not None else _cfg(config, "sizes", "web_search"),
-        truncate_at=_cfg(config, "truncate_tail", None),
-    )
-
-
-def _fabric_bps(net: "Network") -> float:
-    cfg = net.config
-    return cfg.effective_fabric_rate * cfg.n_leaves * cfg.n_spines
-
-
 def _require_multi_leaf(net: "Network", kind: str) -> None:
     if len(net.leaves) < 2:
         raise ConfigError(f"{kind} scenario needs at least two leaves")
-
-
-def _poisson_arrivals(rng, lam: float, n: int) -> np.ndarray:
-    if lam <= 0:
-        raise ConfigError(f"non-positive arrival rate {lam!r}")
-    return np.cumsum(rng.exponential(1.0 / lam, size=n))
-
-
-def _uniform_cross_leaf_pairs(net: "Network", rng, n: int) -> list[tuple[str, str]]:
-    """Uniform random host pairs that always cross leaves (the paper's
-    multi-path setting; intra-leaf draws are redrawn)."""
-    hosts = [h.name for h in net.host_list()]
-    leaf_of = net.leaf_of
-    pairs = []
-    for _ in range(n):
-        src = hosts[int(rng.integers(len(hosts)))]
-        dst = hosts[int(rng.integers(len(hosts)))]
-        while leaf_of[dst] == leaf_of[src]:
-            dst = hosts[int(rng.integers(len(hosts)))]
-        pairs.append((src, dst))
-    return pairs
-
-
-def _make_flows(
-    base_id: int,
-    pairs: list[tuple[str, str]],
-    sizes: np.ndarray,
-    arrivals: np.ndarray,
-    deadlines: list[Optional[float]],
-) -> list[Flow]:
-    return [
-        Flow(id=base_id + i, src=src, dst=dst, size=int(sizes[i]),
-             start_time=float(arrivals[i]), deadline=deadlines[i])
-        for i, (src, dst) in enumerate(pairs)
-    ]
 
 
 # --- the scenario interface ------------------------------------------------
@@ -237,13 +209,34 @@ def _make_flows(
 class Scenario:
     """One parsed workload scenario: a pure description that can render
     itself canonically (for cache keys) and generate deterministic flows
-    on a built network."""
+    on a built network.
+
+    A kind is ``kind`` + ``PARAMS`` + ``generate``: the constructor, the
+    spec parser and the canonical form all read the table, and every
+    parameter becomes an attribute of the same name."""
 
     kind: str = "base"
+    #: ``name -> (parse(value, spec), default, check(value, what) | None)``
+    #: in spec-documentation order; a ``None`` value skips its check and
+    #: stays out of the canonical form
+    PARAMS: dict[str, tuple] = {}
+
+    def __init__(self, **params):
+        unknown = params.keys() - self.PARAMS.keys()
+        if unknown:
+            raise ConfigError(
+                f"{self.kind}: unknown parameter(s) {sorted(unknown)}")
+        for name, (_, default, check) in self.PARAMS.items():
+            value = params.get(name, default)
+            if value is not None and check is not None:
+                check(value, f"{self.kind} {name}")
+            setattr(self, name, value)
 
     @classmethod
     def parse(cls, rest: str, spec: str) -> "Scenario":
-        raise NotImplementedError
+        given = _parse_params(rest, spec, cls.PARAMS)
+        return cls(**{name: cls.PARAMS[name][0](value, spec)
+                      for name, value in given.items()})
 
     def canonical(self) -> str:
         """Canonical spec form — a fixed point of ``parse``; explicit
@@ -255,7 +248,13 @@ class Scenario:
         return f"{self.kind}:{body}"
 
     def _canonical_params(self) -> dict:
-        raise NotImplementedError
+        return {name: getattr(self, name) for name in self.PARAMS
+                if getattr(self, name) is not None}
+
+    def reads_load_axis(self) -> bool:
+        """Whether ``ScenarioConfig.load`` reaches the generated flows: the
+        kind has a ``load`` parameter and the spec leaves it unset."""
+        return "load" in self.PARAMS and self.load is None
 
     def file_digests(self) -> dict[str, str]:
         """Content fingerprints of any files the scenario reads
@@ -284,56 +283,36 @@ class Scenario:
         tcp_config=None,
     ) -> WorkloadResult:
         """Register flows, create senders, schedule starts."""
-        _install_listeners(net, registry)
-        flows = self.generate(net, config)
-        result = WorkloadResult()
-        for flow in flows:
-            _schedule_flow(net, registry, flow, sender_cls, tcp_config, result)
-        return result
+        return install_flows(net, registry, self.generate(net, config),
+                             sender_cls, tcp_config)
 
 
 # --- traffic-matrix scenarios ----------------------------------------------
 
 class PoissonScenario(Scenario):
     """Uniform random cross-leaf pairs, Poisson arrivals at a target
-    load — the §6.2 baseline, spec-addressable so mixes can cite it."""
+    load — the §6.2 baseline, spec-addressable so mixes can cite it.
+
+    Its ``generate`` is the only one of the Poisson family; subclasses
+    override the size distribution, the arrival process or the endpoint
+    choice and keep each named stream's draw order."""
 
     kind = "poisson"
-    _ALLOWED = ("sizes", "load", "flows")
-
-    def __init__(self, sizes: Optional[str] = None, load: Optional[float] = None,
-                 flows: Optional[int] = None):
-        if sizes is not None:
-            named_distribution(sizes)  # validate eagerly
-        if load is not None and not 0 < load <= 1.5:
-            raise ConfigError(f"load must be in (0, 1.5], got {load}")
-        if flows is not None and flows < 1:
-            raise ConfigError("flows must be >= 1")
-        self.sizes = sizes
-        self.load = load
-        self.flows = flows
-
-    @classmethod
-    def parse(cls, rest: str, spec: str) -> "PoissonScenario":
-        p = _parse_params(rest, spec, cls._ALLOWED)
-        return cls(
-            sizes=p.get("sizes"),
-            load=_num(p["load"], spec) if "load" in p else None,
-            flows=_parse_int(p["flows"], spec) if "flows" in p else None,
-        )
-
-    def _canonical_params(self) -> dict:
-        out = {}
-        if self.sizes is not None:
-            out["sizes"] = self.sizes
-        if self.load is not None:
-            out["load"] = self.load
-        if self.flows is not None:
-            out["flows"] = self.flows
-        return out
+    PARAMS = {"sizes": _SIZES, "load": _LOAD, "flows": _FLOWS}
 
     def _distribution(self, config) -> FlowSizeDistribution:
-        return _resolve_sizes(self.sizes, config)
+        return named_distribution(
+            self.sizes if self.sizes is not None
+            else _cfg(config, "sizes", "web_search"),
+            truncate_at=_cfg(config, "truncate_tail", None),
+        )
+
+    def _arrivals(self, net, config, rng, mean_size: float, n: int) -> np.ndarray:
+        load = self.load if self.load is not None else _cfg(config, "load", 0.4)
+        return poisson_arrivals(rng, arrival_rate(net, load, mean_size), n)
+
+    def _pairs(self, net, rng, arrivals: np.ndarray) -> list[tuple[str, str]]:
+        return cross_leaf_pairs(net, rng, len(arrivals))
 
     def generate(self, net, config=None, *, base_id=0, n_flows=None,
                  stream_prefix="workload.scenario"):
@@ -341,17 +320,16 @@ class PoissonScenario(Scenario):
         n = n_flows if n_flows is not None else (
             self.flows if self.flows is not None
             else _cfg(config, "n_flows", 200))
-        load = self.load if self.load is not None else _cfg(config, "load", 0.4)
         dist = self._distribution(config)
-        lam = load * _fabric_bps(net) / (8.0 * dist.mean())
-        arrivals = _poisson_arrivals(
-            net.rngs.stream(f"{stream_prefix}.arrivals"), lam, n)
+        arrivals = self._arrivals(
+            net, config, net.rngs.stream(f"{stream_prefix}.arrivals"),
+            dist.mean(), n)
         sizes = dist.sample(net.rngs.stream(f"{stream_prefix}.sizes"), n)
         deadlines = _deadlines(config).assign(
             net.rngs.stream(f"{stream_prefix}.deadlines"), sizes)
-        pairs = _uniform_cross_leaf_pairs(
-            net, net.rngs.stream(f"{stream_prefix}.pairs"), n)
-        return _make_flows(base_id, pairs, sizes, arrivals, deadlines)
+        pairs = self._pairs(
+            net, net.rngs.stream(f"{stream_prefix}.pairs"), arrivals)
+        return make_flows(base_id, pairs, sizes, arrivals, deadlines)
 
 
 class EmpiricalCdfScenario(PoissonScenario):
@@ -361,31 +339,13 @@ class EmpiricalCdfScenario(PoissonScenario):
     editing a trace invalidates exactly the cells that used it."""
 
     kind = "cdf"
-    _ALLOWED = ("file", "load", "flows")
+    PARAMS = {"file": (_text, None, None), "load": _LOAD, "flows": _FLOWS}
 
-    def __init__(self, file: str, load: Optional[float] = None,
-                 flows: Optional[int] = None):
-        super().__init__(sizes=None, load=load, flows=flows)
-        self.file = str(file)
-        points, digest = load_cdf_file(self.file)
-        self._points = points
-        self._digest = digest
-
-    @classmethod
-    def parse(cls, rest: str, spec: str) -> "EmpiricalCdfScenario":
-        p = _parse_params(rest, spec, cls._ALLOWED)
-        if "file" not in p:
-            raise ConfigError(f"workload spec {spec!r}: cdf needs file=PATH")
-        return cls(
-            file=p["file"],
-            load=_num(p["load"], spec) if "load" in p else None,
-            flows=_parse_int(p["flows"], spec) if "flows" in p else None,
-        )
-
-    def _canonical_params(self) -> dict:
-        out = super()._canonical_params()
-        out["file"] = self.file
-        return out
+    def __init__(self, **params):
+        super().__init__(**params)
+        if self.file is None:
+            raise ConfigError("cdf needs file=PATH")
+        self._points, self._digest = load_cdf_file(self.file)
 
     def file_digests(self) -> dict[str, str]:
         return {self.file: self._digest}
@@ -404,29 +364,8 @@ class ZipfScenario(PoissonScenario):
     stable within a run and byte-identical across schemes."""
 
     kind = "zipf"
-    _ALLOWED = ("s", "sizes", "load", "flows")
-
-    def __init__(self, s: float = 1.2, sizes: Optional[str] = None,
-                 load: Optional[float] = None, flows: Optional[int] = None):
-        super().__init__(sizes=sizes, load=load, flows=flows)
-        if not 0 < s <= 4.0:
-            raise ConfigError(f"zipf exponent s must be in (0, 4], got {s}")
-        self.s = float(s)
-
-    @classmethod
-    def parse(cls, rest: str, spec: str) -> "ZipfScenario":
-        p = _parse_params(rest, spec, cls._ALLOWED)
-        return cls(
-            s=_num(p["s"], spec) if "s" in p else 1.2,
-            sizes=p.get("sizes"),
-            load=_num(p["load"], spec) if "load" in p else None,
-            flows=_parse_int(p["flows"], spec) if "flows" in p else None,
-        )
-
-    def _canonical_params(self) -> dict:
-        out = super()._canonical_params()
-        out["s"] = self.s
-        return out
+    PARAMS = {"s": (_num, 1.2, _within(0, 4)), "sizes": _SIZES,
+              "load": _LOAD, "flows": _FLOWS}
 
     def draw_destinations(self, net, rng, n: int) -> list[str]:
         """``n`` destination hosts by Zipf rank-frequency (exposed for
@@ -439,80 +378,35 @@ class ZipfScenario(PoissonScenario):
         draws = rng.choice(len(hosts), size=n, p=weights)
         return [hosts[int(perm[d])] for d in draws]
 
-    def generate(self, net, config=None, *, base_id=0, n_flows=None,
-                 stream_prefix="workload.scenario"):
-        _require_multi_leaf(net, self.kind)
-        n = n_flows if n_flows is not None else (
-            self.flows if self.flows is not None
-            else _cfg(config, "n_flows", 200))
-        load = self.load if self.load is not None else _cfg(config, "load", 0.4)
-        dist = self._distribution(config)
-        lam = load * _fabric_bps(net) / (8.0 * dist.mean())
-        arrivals = _poisson_arrivals(
-            net.rngs.stream(f"{stream_prefix}.arrivals"), lam, n)
-        sizes = dist.sample(net.rngs.stream(f"{stream_prefix}.sizes"), n)
-        deadlines = _deadlines(config).assign(
-            net.rngs.stream(f"{stream_prefix}.deadlines"), sizes)
-        rng_pairs = net.rngs.stream(f"{stream_prefix}.pairs")
+    def _pairs(self, net, rng, arrivals):
         hosts = [h.name for h in net.host_list()]
         leaf_of = net.leaf_of
-        dsts = self.draw_destinations(net, rng_pairs, n)
         pairs = []
-        for dst in dsts:
+        for dst in self.draw_destinations(net, rng, len(arrivals)):
             # src is uniform over the other leaves, so the destination
             # popularity skew is preserved exactly.
-            src = hosts[int(rng_pairs.integers(len(hosts)))]
+            src = hosts[int(rng.integers(len(hosts)))]
             while leaf_of[src] == leaf_of[dst]:
-                src = hosts[int(rng_pairs.integers(len(hosts)))]
+                src = hosts[int(rng.integers(len(hosts)))]
             pairs.append((src, dst))
-        return _make_flows(base_id, pairs, sizes, arrivals, deadlines)
+        return pairs
 
 
 class IncastScenario(Scenario):
     """Partition–aggregate fan-in: every ``period``, one aggregator
     receives ``fanin`` near-simultaneous responses from workers on other
     leaves (OLDI request shape; workers are drawn fabric-wide, so
-    ``fanin`` may exceed one leaf's host count)."""
+    ``fanin`` may exceed one leaf's host count).  ``requests`` defaults
+    to the flow budget divided by ``fanin``."""
 
     kind = "incast"
-    _ALLOWED = ("fanin", "period", "size", "requests", "jitter")
-
-    def __init__(self, fanin: int = 16, period: float = 0.010,
-                 size: int = KB(32), requests: Optional[int] = None,
-                 jitter: float = 500e-6):
-        if fanin < 1:
-            raise ConfigError(f"incast fanin must be >= 1, got {fanin}")
-        if period <= 0:
-            raise ConfigError(f"incast period must be > 0, got {period}")
-        if size < 1:
-            raise ConfigError(f"incast size must be >= 1 byte, got {size}")
-        if requests is not None and requests < 1:
-            raise ConfigError("incast requests must be >= 1")
-        if jitter < 0:
-            raise ConfigError("incast jitter must be >= 0")
-        self.fanin = int(fanin)
-        self.period = float(period)
-        self.size = int(size)
-        self.requests = requests
-        self.jitter = float(jitter)
-
-    @classmethod
-    def parse(cls, rest: str, spec: str) -> "IncastScenario":
-        p = _parse_params(rest, spec, cls._ALLOWED)
-        return cls(
-            fanin=_parse_int(p["fanin"], spec) if "fanin" in p else 16,
-            period=_parse_time(p["period"], spec) if "period" in p else 0.010,
-            size=_parse_bytes(p["size"], spec) if "size" in p else KB(32),
-            requests=_parse_int(p["requests"], spec) if "requests" in p else None,
-            jitter=_parse_time(p["jitter"], spec) if "jitter" in p else 500e-6,
-        )
-
-    def _canonical_params(self) -> dict:
-        out = {"fanin": self.fanin, "period": self.period,
-               "size": self.size, "jitter": self.jitter}
-        if self.requests is not None:
-            out["requests"] = self.requests
-        return out
+    PARAMS = {
+        "fanin": (_parse_int, 16, _within(1, closed=True)),
+        "period": (_parse_time, 0.010, _within(0)),
+        "size": (_parse_bytes, KB(32), _within(1, closed=True)),
+        "requests": (_parse_int, None, _within(1, closed=True)),
+        "jitter": (_parse_time, 500e-6, _within(0, closed=True)),
+    }
 
     def generate(self, net, config=None, *, base_id=0, n_flows=None,
                  stream_prefix="workload.scenario"):
@@ -552,158 +446,69 @@ class IncastScenario(Scenario):
         return flows
 
 
-class DiurnalScenario(Scenario):
+class DiurnalScenario(PoissonScenario):
     """Sinusoidal load curve between ``trough`` and ``peak`` over
     ``period`` — a compressed day.  Arrivals are a non-homogeneous
     Poisson process drawn by thinning against the peak rate, so the
     realised curve follows λ(t) exactly and stays seed-deterministic."""
 
     kind = "diurnal"
-    _ALLOWED = ("peak", "trough", "period", "sizes", "flows")
+    PARAMS = {
+        "peak": (_num, 0.8, _within(0, 1.5)),
+        "trough": (_num, 0.2, _within(0, 1.5)),
+        "period": (_parse_time, 1.0, _within(0)),
+        "sizes": _SIZES,
+        "flows": _FLOWS,
+    }
 
-    def __init__(self, peak: float = 0.8, trough: float = 0.2,
-                 period: float = 1.0, sizes: Optional[str] = None,
-                 flows: Optional[int] = None):
-        if not 0 < trough <= peak <= 1.5:
+    def __init__(self, **params):
+        super().__init__(**params)
+        if self.trough > self.peak:
             raise ConfigError(
-                f"need 0 < trough <= peak <= 1.5, got trough={trough}"
-                f" peak={peak}")
-        if period <= 0:
-            raise ConfigError(f"diurnal period must be > 0, got {period}")
-        if sizes is not None:
-            named_distribution(sizes)
-        if flows is not None and flows < 1:
-            raise ConfigError("flows must be >= 1")
-        self.peak = float(peak)
-        self.trough = float(trough)
-        self.period = float(period)
-        self.sizes = sizes
-        self.flows = flows
-
-    @classmethod
-    def parse(cls, rest: str, spec: str) -> "DiurnalScenario":
-        p = _parse_params(rest, spec, cls._ALLOWED)
-        return cls(
-            peak=_num(p["peak"], spec) if "peak" in p else 0.8,
-            trough=_num(p["trough"], spec) if "trough" in p else 0.2,
-            period=_parse_time(p["period"], spec) if "period" in p else 1.0,
-            sizes=p.get("sizes"),
-            flows=_parse_int(p["flows"], spec) if "flows" in p else None,
-        )
-
-    def _canonical_params(self) -> dict:
-        out = {"peak": self.peak, "trough": self.trough,
-               "period": self.period}
-        if self.sizes is not None:
-            out["sizes"] = self.sizes
-        if self.flows is not None:
-            out["flows"] = self.flows
-        return out
+                f"diurnal needs trough <= peak, got trough={self.trough}"
+                f" peak={self.peak}")
 
     def load_at(self, t: float) -> float:
         """Instantaneous offered load: trough at t=0, peak at period/2."""
         phase = 0.5 - 0.5 * np.cos(2.0 * np.pi * t / self.period)
         return self.trough + (self.peak - self.trough) * float(phase)
 
-    def generate(self, net, config=None, *, base_id=0, n_flows=None,
-                 stream_prefix="workload.scenario"):
-        _require_multi_leaf(net, self.kind)
-        n = n_flows if n_flows is not None else (
-            self.flows if self.flows is not None
-            else _cfg(config, "n_flows", 200))
-        dist = _resolve_sizes(self.sizes, config)
-        lam_unit = _fabric_bps(net) / (8.0 * dist.mean())
-        lam_max = lam_unit * self.peak
-        rng_arrivals = net.rngs.stream(f"{stream_prefix}.arrivals")
+    def _arrivals(self, net, config, rng, mean_size, n):
+        # the thinning envelope: the unit-load rate scaled to the peak
+        lam_max = arrival_rate(net, 1.0, mean_size) * self.peak
         arrivals = np.empty(n)
         t = 0.0
         accepted = 0
         while accepted < n:
-            t += float(rng_arrivals.exponential(1.0 / lam_max))
-            if rng_arrivals.random() * self.peak <= self.load_at(t):
+            t += float(rng.exponential(1.0 / lam_max))
+            if rng.random() * self.peak <= self.load_at(t):
                 arrivals[accepted] = t
                 accepted += 1
-        sizes = dist.sample(net.rngs.stream(f"{stream_prefix}.sizes"), n)
-        deadlines = _deadlines(config).assign(
-            net.rngs.stream(f"{stream_prefix}.deadlines"), sizes)
-        pairs = _uniform_cross_leaf_pairs(
-            net, net.rngs.stream(f"{stream_prefix}.pairs"), n)
-        return _make_flows(base_id, pairs, sizes, arrivals, deadlines)
+        return arrivals
 
 
-class HotspotScenario(Scenario):
+class HotspotScenario(PoissonScenario):
     """Migrating hotspot: in each ``dwell`` epoch a rotating set of
     ``leaves`` leaves absorbs fraction ``bias`` of all traffic, so load
     concentrates on a few racks and then moves on — the failure mode
     that defeats static weighting."""
 
     kind = "hotspot"
-    _ALLOWED = ("leaves", "dwell", "bias", "sizes", "load", "flows")
-
-    def __init__(self, leaves: int = 1, dwell: float = 0.2, bias: float = 0.9,
-                 sizes: Optional[str] = None, load: Optional[float] = None,
-                 flows: Optional[int] = None):
-        if leaves < 1:
-            raise ConfigError(f"hotspot leaves must be >= 1, got {leaves}")
-        if dwell <= 0:
-            raise ConfigError(f"hotspot dwell must be > 0, got {dwell}")
-        if not 0 < bias <= 1:
-            raise ConfigError(f"hotspot bias must be in (0, 1], got {bias}")
-        if sizes is not None:
-            named_distribution(sizes)
-        if load is not None and not 0 < load <= 1.5:
-            raise ConfigError(f"load must be in (0, 1.5], got {load}")
-        if flows is not None and flows < 1:
-            raise ConfigError("flows must be >= 1")
-        self.leaves = int(leaves)
-        self.dwell = float(dwell)
-        self.bias = float(bias)
-        self.sizes = sizes
-        self.load = load
-        self.flows = flows
-
-    @classmethod
-    def parse(cls, rest: str, spec: str) -> "HotspotScenario":
-        p = _parse_params(rest, spec, cls._ALLOWED)
-        return cls(
-            leaves=_parse_int(p["leaves"], spec) if "leaves" in p else 1,
-            dwell=_parse_time(p["dwell"], spec) if "dwell" in p else 0.2,
-            bias=_num(p["bias"], spec) if "bias" in p else 0.9,
-            sizes=p.get("sizes"),
-            load=_num(p["load"], spec) if "load" in p else None,
-            flows=_parse_int(p["flows"], spec) if "flows" in p else None,
-        )
-
-    def _canonical_params(self) -> dict:
-        out = {"leaves": self.leaves, "dwell": self.dwell, "bias": self.bias}
-        if self.sizes is not None:
-            out["sizes"] = self.sizes
-        if self.load is not None:
-            out["load"] = self.load
-        if self.flows is not None:
-            out["flows"] = self.flows
-        return out
+    PARAMS = {
+        "leaves": (_parse_int, 1, _within(1, closed=True)),
+        "dwell": (_parse_time, 0.2, _within(0)),
+        "bias": (_num, 0.9, _within(0, 1)),
+        "sizes": _SIZES,
+        "load": _LOAD,
+        "flows": _FLOWS,
+    }
 
     def hot_leaves(self, epoch: int, n_leaves: int) -> list[int]:
         """Leaf indices that are hot during ``epoch`` (rotates each dwell)."""
         width = min(self.leaves, n_leaves)
         return [(epoch + i) % n_leaves for i in range(width)]
 
-    def generate(self, net, config=None, *, base_id=0, n_flows=None,
-                 stream_prefix="workload.scenario"):
-        _require_multi_leaf(net, self.kind)
-        n = n_flows if n_flows is not None else (
-            self.flows if self.flows is not None
-            else _cfg(config, "n_flows", 200))
-        load = self.load if self.load is not None else _cfg(config, "load", 0.4)
-        dist = _resolve_sizes(self.sizes, config)
-        lam = load * _fabric_bps(net) / (8.0 * dist.mean())
-        arrivals = _poisson_arrivals(
-            net.rngs.stream(f"{stream_prefix}.arrivals"), lam, n)
-        sizes = dist.sample(net.rngs.stream(f"{stream_prefix}.sizes"), n)
-        deadlines = _deadlines(config).assign(
-            net.rngs.stream(f"{stream_prefix}.deadlines"), sizes)
-        rng = net.rngs.stream(f"{stream_prefix}.pairs")
+    def _pairs(self, net, rng, arrivals):
         hosts = [h.name for h in net.host_list()]
         leaf_of = net.leaf_of
         leaf_names = [leaf.name for leaf in net.leaves]
@@ -712,8 +517,8 @@ class HotspotScenario(Scenario):
             for name in leaf_names
         }
         pairs = []
-        for i in range(n):
-            epoch = int(arrivals[i] // self.dwell)
+        for arrival in arrivals:
+            epoch = int(arrival // self.dwell)
             hot = [leaf_names[j]
                    for j in self.hot_leaves(epoch, len(leaf_names))]
             if rng.random() < self.bias:
@@ -725,7 +530,7 @@ class HotspotScenario(Scenario):
             while leaf_of[src] == leaf_of[dst]:
                 src = hosts[int(rng.integers(len(hosts)))]
             pairs.append((src, dst))
-        return _make_flows(base_id, pairs, sizes, arrivals, deadlines)
+        return pairs
 
 
 class MixScenario(Scenario):
@@ -771,8 +576,8 @@ class MixScenario(Scenario):
                         for _, w, sc in self.components)
         return f"mix:{body}"
 
-    def _canonical_params(self) -> dict:  # pragma: no cover - unused
-        raise AssertionError("MixScenario overrides canonical()")
+    def reads_load_axis(self) -> bool:
+        return any(sc.reads_load_axis() for _, _, sc in self.components)
 
     def file_digests(self) -> dict[str, str]:
         out: dict[str, str] = {}

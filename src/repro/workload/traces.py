@@ -17,7 +17,7 @@ from repro.net.topology import Network
 from repro.transport.dctcp import DctcpSender
 from repro.transport.flow import Flow, FlowRegistry
 from repro.transport.tcp import TcpConfig, TcpSender
-from repro.workload.generator import WorkloadResult, _install_listeners, _schedule_flow
+from repro.workload.generator import WorkloadResult, install_flows
 
 __all__ = ["write_trace", "read_trace", "TraceWorkload"]
 
@@ -97,9 +97,5 @@ class TraceWorkload:
 
     def install(self) -> WorkloadResult:
         """Register and schedule every flow of the trace."""
-        _install_listeners(self.net, self.registry)
-        result = WorkloadResult()
-        for flow in self.flows:
-            _schedule_flow(self.net, self.registry, flow, self.sender_cls,
-                           self.tcp_config, result)
-        return result
+        return install_flows(self.net, self.registry, self.flows,
+                             self.sender_cls, self.tcp_config)

@@ -109,6 +109,19 @@ def test_canonical_config_excludes_only_non_semantic():
     assert "seed" in canon and "scheme" in canon and "faults" in canon
 
 
+def test_faults_axis_is_canonical_in_the_digest():
+    flap = "0.1:link_down:leaf0-spine1;0.3:link_up:leaf0-spine1"
+    respelled = (" 0.30:link_up:leaf0-spine1 ;"
+                 " 0.10:link_down:leaf0-spine1:drop;")
+    assert canonical_config(BASE.with_(faults=respelled))["faults"] == flap
+    assert config_digest(BASE.with_(faults=respelled)) == \
+        config_digest(BASE.with_(faults=flap))
+    # ...but losslessly so: schedules 1 us apart stay different cells
+    assert config_digest(
+        BASE.with_(faults="1.000001:link_down:leaf0-spine1")) != \
+        config_digest(BASE.with_(faults="1:link_down:leaf0-spine1"))
+
+
 def test_digest_is_stable_across_equal_configs():
     assert config_digest(ScenarioConfig(seed=3)) == \
         config_digest(ScenarioConfig(seed=3))

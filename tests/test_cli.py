@@ -569,6 +569,20 @@ def test_workloads_command_lists_vocabulary(capsys):
     assert "websearch = poisson:sizes=web_search" in out
 
 
+def test_workloads_command_prints_each_kinds_params_table(capsys):
+    from repro.workload.scenarios import SCENARIO_KINDS
+
+    assert main(["workloads"]) == 0
+    lines = {line.split()[0]: line
+             for line in capsys.readouterr().out.splitlines() if line.strip()}
+    for kind, cls in SCENARIO_KINDS.items():
+        for name in cls.PARAMS:
+            assert name in lines[kind]
+    assert "fanin=16 period=0.01 size=32000 requests jitter=0.0005" \
+        in lines["incast"]
+    assert "s=1.2 sizes load flows" in lines["zipf"]
+
+
 def test_run_command_with_scenario_workload(capsys):
     assert main(["run", "--scheme", "ecmp",
                  "--workload", "incast:fanin=4,period=5ms",
@@ -592,6 +606,29 @@ def test_sweep_and_fleet_parsers_accept_workload():
     args = build_parser().parse_args(
         ["fleet", "run", "--dir", "d", "--workload", "hotspot:leaves=2"])
     assert args.workload == "hotspot:leaves=2"
+
+
+def test_grid_rejects_a_load_axis_the_spec_ignores(capsys):
+    from repro.errors import ConfigError
+
+    grid = ["--schemes", "ecmp", "--flows", "40", "--processes", "0"]
+    # the spec's own load= wins over --loads (and incast never reads it):
+    # two loads would print two differently-labelled copies of one run
+    for spec in ("zipf:s=1.2,load=0.5", "incast:fanin=8,period=10ms"):
+        with pytest.raises(ConfigError, match="does not read the load axis"):
+            main(["sweep", *grid, "--loads", "0.2", "0.8",
+                  "--workload", spec])
+    with pytest.raises(ConfigError, match="pass one --loads value"):
+        main(["fleet", "run", "--dir", "unused", "--schemes", "ecmp",
+              "--loads", "0.2", "0.8", "--workload", "static"])
+    # one nominal load is a label, not an axis; and a spec without load=
+    # does read the axis
+    assert main(["sweep", *grid, "--loads", "0.4",
+                 "--workload", "zipf:s=1.2,load=0.5"]) == 0
+    assert "1 computed" in capsys.readouterr().err
+    assert main(["sweep", *grid, "--loads", "0.2", "0.8",
+                 "--workload", "zipf:s=1.2"]) == 0
+    assert "2 computed" in capsys.readouterr().err
 
 
 def test_figure_parser_accepts_repeated_workload():

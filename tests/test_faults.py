@@ -50,6 +50,17 @@ def test_spec_round_trip_with_arguments():
     assert sched.events[2].rate_factor == 0.25
 
 
+def test_spec_round_trip_is_lossless():
+    # %g keeps six significant digits; a time, rate factor or loss rate
+    # that needs seven must still come back as the same schedule
+    sched = FaultSchedule.from_spec(
+        "1.000001:link_down:leaf0-spine1;"
+        "1.5:degrade:leaf0-spine2:0.5000001;"
+        "2:loss_start:leaf0-spine0:0.01000001")
+    assert FaultSchedule.from_spec(sched.spec()) == sched
+    assert sched.spec().startswith("1.000001:link_down")
+
+
 def test_schedule_sorts_by_time():
     sched = FaultSchedule.from_spec(
         "0.3:link_up:leaf0-spine0;0.1:link_down:leaf0-spine0")

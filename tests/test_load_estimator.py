@@ -79,27 +79,6 @@ def test_deadline_stats_validation():
         d.observe(-1.0)
 
 
-def test_deadline_stats_streaming_backend():
-    d = DeadlineStats(25.0, default=0.010, streaming=True)
-    assert d.value() == 0.010
-    rng = np.random.default_rng(0)
-    for v in rng.uniform(0.005, 0.025, size=4000):
-        d.observe(float(v))
-    assert d.n_observations == 4000
-    assert d.value() == pytest.approx(0.010, abs=0.001)
-
-
-def test_deadline_stats_backends_agree():
-    rng = np.random.default_rng(1)
-    samples = rng.exponential(0.01, size=3000)
-    win = DeadlineStats(50.0, default=1.0, window=3000)
-    stream = DeadlineStats(50.0, default=1.0, streaming=True)
-    for v in samples:
-        win.observe(float(v))
-        stream.observe(float(v))
-    assert stream.value() == pytest.approx(win.value(), rel=0.1)
-
-
 def test_load_estimator_roll_cycle():
     le = LoadEstimator(interval=500e-6)
     le.account(1500)

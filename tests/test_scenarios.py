@@ -383,3 +383,98 @@ def test_run_scenario_with_scenario_workload():
     result = run_scenario(config)
     assert result.metrics.short_fct.n_flows == 16
     assert result.metrics.short_fct.n_completed > 0
+
+
+# --- every PARAMS table, walked ----------------------------------------------
+
+#: per parameter name: (a spec-form value inside its range, one its check
+#: must reject).  A kind's new table row without an entry here fails
+#: test_every_params_row_parses_canonicalises_and_checks, so it cannot
+#: ship untested.
+PARAM_EXAMPLES = {
+    "sizes": ("data_mining", "nosuchdist"),
+    "load": ("0.7", "2.0"),
+    "flows": ("40", "0"),
+    "file": (None, "/nonexistent/trace.csv"),  # good value: a tmp trace
+    "s": ("0.9", "9"),
+    "fanin": ("6", "0"),
+    "period": ("20ms", "0"),
+    "size": ("16KB", "0"),
+    "requests": ("3", "0"),
+    "jitter": ("250us", "-1us"),
+    "peak": ("0.9", "1.6"),
+    "trough": ("0.3", "0"),
+    "leaves": ("2", "0"),
+    "dwell": ("50ms", "0"),
+    "bias": ("0.75", "1.5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIO_KINDS))
+def test_every_params_row_parses_canonicalises_and_checks(kind, tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE)
+    params = SCENARIO_KINDS[kind].PARAMS
+    missing = set(params) - set(PARAM_EXAMPLES)
+    assert not missing, f"{kind}: add PARAM_EXAMPLES for {sorted(missing)}"
+    good = {name: PARAM_EXAMPLES[name][0] or str(trace) for name in params}
+
+    def spec_of(values):
+        if "file" in params:  # the one required parameter
+            values = {"file": good["file"], **values}
+        return f"{kind}:" + ",".join(f"{n}={v}" for n, v in values.items())
+
+    for name, (parse, _, _) in params.items():
+        sc = parse_scenario(spec_of({name: good[name]}))
+        assert getattr(sc, name) == parse(good[name], "spec")
+        for other in params.keys() - {name, "file"}:
+            assert getattr(sc, other) == params[other][1]  # the table default
+        with pytest.raises(ConfigError):
+            parse_scenario(spec_of({name: PARAM_EXAMPLES[name][1]}))
+    if params:
+        canonical = parse_scenario(spec_of(good)).canonical()
+        assert all(f"{name}=" in canonical for name in params)
+        assert parse_scenario(canonical).canonical() == canonical
+        backwards = dict(reversed(good.items()))
+        assert parse_scenario(spec_of(backwards)).canonical() == canonical
+
+
+def test_range_errors_name_kind_parameter_and_interval():
+    with pytest.raises(ConfigError, match=r"zipf s must be in \(0, 4\], got 9"):
+        parse_scenario("zipf:s=9")
+    with pytest.raises(ConfigError,
+                       match=r"incast fanin must be in \[1, inf\], got 0"):
+        parse_scenario("incast:fanin=0")
+    with pytest.raises(ConfigError, match="trough <= peak"):
+        parse_scenario("diurnal:peak=0.3,trough=0.5")
+
+
+# --- canonical forms are lossless --------------------------------------------
+
+
+def test_canonical_form_is_lossless():
+    # %g keeps six significant digits: these pairs used to share one
+    # canonical string — and with it one cache cell
+    for a, b in (("zipf:s=1.2,load=0.5000001", "zipf:s=1.2,load=0.5000004"),
+                 ("incast:period=1.0000004ms", "incast:period=1ms"),
+                 ("mix:tenantA@0.7000001+incast@0.3", "mix:tenantA@0.7+incast@0.3")):
+        assert canonical_workload(a) != canonical_workload(b)
+        assert config_digest(cfg(a)) != config_digest(cfg(b))
+    # a unit suffix scales in floating point, so 100us (= 100 * 1e-6) is
+    # not the float 0.0001; the canonical form says so instead of merging
+    sc = parse_scenario("incast:jitter=100us")
+    assert sc.jitter != 0.0001
+    assert parse_scenario(sc.canonical()).jitter == sc.jitter
+    assert sc.canonical() != parse_scenario("incast:jitter=0.0001").canonical()
+    # values %g renders exactly keep the short form they always had
+    assert canonical_workload("incast:period=10ms,jitter=500us") == (
+        "incast:fanin=16,jitter=0.0005,period=0.01,size=32000")
+
+
+def test_reads_load_axis():
+    assert parse_scenario("zipf:s=1.2").reads_load_axis()
+    assert not parse_scenario("zipf:s=1.2,load=0.5").reads_load_axis()
+    assert not parse_scenario("incast:fanin=8").reads_load_axis()
+    assert not parse_scenario("diurnal:peak=0.8").reads_load_axis()
+    assert parse_scenario("mix:tenantA@0.7+zipf@0.3").reads_load_axis()
+    assert not parse_scenario("mix:tenantA@0.7+incast@0.3").reads_load_axis()

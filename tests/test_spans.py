@@ -60,6 +60,26 @@ def test_gzip_span_files_byte_identical_and_roundtrip(tmp_path):
     assert load_spans(plain) == datas[0]
 
 
+def test_span_size_class_agrees_with_run_metrics():
+    # flows of exactly short_threshold bytes: the paper's "<100 KB" makes
+    # them long everywhere — FCT panels, deadlines, and the span file
+    from repro.metrics.fct import split_by_size
+    from repro.units import KB, MB
+
+    result = run_scenario(ScenarioConfig(
+        scheme="ecmp", n_paths=4, hosts_per_leaf=4, n_short=6, n_long=1,
+        long_size=MB(1), short_size_lo=KB(100), short_size_hi=KB(100),
+        short_window=0.01, seed=3, spans=True))
+    short, long_ = split_by_size(result.registry.all_stats(), KB(100))
+    assert (len(short), len(long_)) == (0, 7)
+    assert result.metrics.short_fct.n_flows == 0
+    flows = result.spans.data["flows"]
+    assert len(flows) == 7
+    for side, stats in (("short", short), ("long", long_)):
+        for s in stats:
+            assert flows[str(s.flow.id)]["class"] == side
+
+
 def test_tail_sampler_retains_the_same_flow_set():
     retained = []
     for _ in range(2):

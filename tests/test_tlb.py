@@ -163,11 +163,13 @@ def test_ack_direction_sizes_not_sampled():
 
 def test_qth_history_recording():
     sim, lb, ports = make_tlb()
-    lb.record_history = True
+    qth_history = []
+    lb.decision_listeners.append(
+        lambda now, _lb, decision: qth_history.append((now, decision)))
     lb.select_port(syn(flow_id=1), ports)
     sim.run(until=0.002)
-    assert len(lb.qth_history) >= 3
-    t, decision = lb.qth_history[0]
+    assert len(qth_history) >= 3
+    t, decision = qth_history[0]
     assert t == pytest.approx(0.0005)
 
 
