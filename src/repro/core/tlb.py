@@ -168,7 +168,7 @@ class TlbBalancer(LoadBalancer):
                 idx = shortest_queue_index(ports)
             else:
                 c.queue_reads += 1
-                if ports[idx].queue_length >= self.qth:
+                if len(ports[idx]._queue) >= self.qth:
                     c.queue_reads += n
                     new_idx = shortest_queue_index(ports)
                     if new_idx != idx:

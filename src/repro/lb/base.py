@@ -63,10 +63,15 @@ def shortest_queue_index(ports: Sequence["Port"]) -> int:
     candidate sets are in fixed spine order — stable across schemes,
     keeping comparisons paired.
     """
-    best = 0
-    best_key = ports[0].queue_bytes / ports[0].rate
-    for i in range(1, len(ports)):
-        key = ports[i].queue_bytes / ports[i].rate
+    # ``_rate`` is the slot behind the ``Port.rate`` property: a read,
+    # not a call, per candidate.
+    it = iter(ports)
+    port = next(it)
+    best = i = 0
+    best_key = port.queue_bytes / port._rate
+    for port in it:
+        i += 1
+        key = port.queue_bytes / port._rate
         if key < best_key:
             best = i
             best_key = key

@@ -49,7 +49,7 @@ class DrillBalancer(LoadBalancer):
             if idx >= n:
                 continue
             c.queue_reads += 1
-            qlen = ports[idx].queue_length
+            qlen = len(ports[idx]._queue)
             if best_len is None or qlen < best_len:
                 best_len = qlen
                 best_idx = idx

@@ -57,7 +57,7 @@ class FlowBenderLiteBalancer(LoadBalancer):
             c.note_entries(len(self._flows))
         idx = entry[0] % n
         c.queue_reads += 1
-        if ports[idx].queue_length >= self.congestion_threshold:
+        if len(ports[idx]._queue) >= self.congestion_threshold:
             entry[1] += 1
             if entry[1] >= self.patience:
                 # Rehash away from the congested port (never back to it).

@@ -72,8 +72,8 @@ class HermesLiteBalancer(LoadBalancer):
         ):
             c.queue_reads += len(ports) + 1
             best = shortest_queue_index(ports)
-            if (ports[idx].queue_length
-                    >= ports[best].queue_length + self.benefit_margin):
+            if (len(ports[idx]._queue)
+                    >= len(ports[best]._queue) + self.benefit_margin):
                 entry[0] = best
                 entry[2] = 0
                 idx = best

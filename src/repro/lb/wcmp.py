@@ -36,7 +36,7 @@ class WcmpBalancer(LoadBalancer):
         self._rates_key: tuple[float, ...] | None = None
 
     def _weights_for(self, ports: Sequence["Port"]) -> tuple[float, ...]:
-        rates = tuple(p.rate for p in ports)
+        rates = tuple([p._rate for p in ports])
         if rates != self._rates_key:
             self._rates_key = rates
             self._cum_weights = tuple(accumulate(rates))

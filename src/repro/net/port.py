@@ -61,6 +61,19 @@ serialisation.  No seeded outcome in the test suite or the benchmark
 ladder changes (``tests/test_outcome_pins.py``); kernel event counts
 fall by the share of completions that never needed an event.
 
+Predicted arrival
+-----------------
+While a port is up, lossless and untraced (one slot, ``_plain``, kept
+current by the ``tracer`` setter, :meth:`Port.fail` /
+:meth:`Port.recover` and :meth:`Port.set_loss`), an arrival that finds
+the transmitter idle finds the queue empty, so neither drop-tail nor ECN
+marking can apply: ``enqueue`` counts the packet and starts its
+serialisation in place.  An untraced ``_transmission_done`` starts the
+next queued packet the same way.  Both write exactly what
+:meth:`Port._transmit` writes, in the same order (the two sequence-number
+draws, ``(now + tx) + delay``); a busy, parked, down, lossy or traced
+port runs the general code, of which ``_transmit`` remains part.
+
 Hot path
 --------
 ``enqueue`` and ``_transmit`` run once per packet per hop, which makes
@@ -190,6 +203,7 @@ class Port:
         "ecn_threshold",
         "_tracer",
         "_trace",
+        "_plain",
         "_queue",
         "_busy",
         "_stats",
@@ -240,7 +254,6 @@ class Port:
         self._deliver = dst.receive
         self.buffer_packets = int(buffer_packets)
         self.ecn_threshold = ecn_threshold
-        self.tracer = tracer if tracer is not None else _NULL_TRACER
         self._queue: deque[Packet] = deque()
         #: a serialisation was started and its completion not yet settled
         #: (see :attr:`busy` for the exact reading)
@@ -251,6 +264,7 @@ class Port:
         self._loss_rng = None
         self._admin_up = True
         self._down_mode = "drop"
+        self.tracer = tracer if tracer is not None else _NULL_TRACER
         #: when the serialisation in progress started; ``None`` once a
         #: link cut has credited its busy share and revoked its delivery
         self._tx_start: Optional[float] = None
@@ -290,6 +304,15 @@ class Port:
     def tracer(self, tracer: Tracer) -> None:
         self._tracer = tracer
         self._trace = tracer.enabled
+        self._update_plain()
+
+    def _update_plain(self) -> None:
+        """Keep :attr:`_plain` current: up, lossless and untraced — the
+        port state under which ``enqueue`` starts an idle transmitter in
+        place (module docstring).  Called by whatever changes one of
+        the three."""
+        self._plain = (self._admin_up and not self._trace
+                       and self._loss_rate == 0.0)
 
     # -- fault injection: random loss ------------------------------------
 
@@ -328,6 +351,7 @@ class Port:
                 f"port {self.name}: loss_rng must expose a random() method")
         self._loss_rate = float(rate)
         self._loss_rng = rng
+        self._update_plain()
 
     # -- fault injection: administrative link state ----------------------
 
@@ -370,6 +394,7 @@ class Port:
         self._settle()
         self._down_mode = mode
         self._admin_up = False
+        self._plain = False
         if self._busy and self._tx_start is not None:
             sim = self.sim
             # The transmitter was genuinely busy from serialisation start
@@ -411,6 +436,7 @@ class Port:
         if self._admin_up:
             return
         self._admin_up = True
+        self._update_plain()
         # No settling: a port that went down busy has an armed completion.
         queue = self._queue
         if queue and not self._busy:
@@ -500,9 +526,41 @@ class Port:
         ``False`` if it was dropped because the buffer was full.
         """
         stats = self._stats
-        trace = self._trace
         sim = self.sim
         now = sim._now
+        busy = self._busy
+        if busy and (now > self._free_at or (
+                now == self._free_at and sim._cur_seq > self._tx_seq)):
+            # _settle(), inlined: the transmitter fell idle unobserved.
+            stats.transmitted += 1
+            stats.bytes_transmitted += self._tx_pkt.size
+            stats.busy_time += self._tx_time
+            busy = self._busy = False
+        if not busy and self._plain:
+            # The predicted arrival: idle and up means nothing is queued,
+            # so drop-tail and ECN marking (both thresholds >= 1 packet)
+            # cannot apply.  Count the packet and start its serialisation
+            # as _transmit would, without the frame.
+            pkt.enqueued_at = now
+            stats.enqueued += 1
+            size = pkt.size
+            stats.bytes_enqueued += size
+            cache = self._ser_cache
+            tx = cache.get(size)
+            if tx is None:
+                tx = cache[size] = (size * BITS_PER_BYTE) / self._rate
+            self._busy = True
+            self._tx_start = now
+            self._tx_pkt = pkt
+            self._tx_time = tx
+            free_at = self._free_at = now + tx
+            counter = sim._counter
+            self._tx_seq = next(counter)
+            heappush(sim._heap, (free_at + self.delay, next(counter),
+                                 self._deliver, (pkt,)))
+            self._armed = False
+            return True
+        trace = self._trace
         if not self._admin_up and self._down_mode == "drop":
             stats.dropped += 1
             if trace:
@@ -549,14 +607,6 @@ class Port:
                     now, "mark", port=self.name, flow=pkt.flow_id,
                     seq=pkt.seq, qlen=qlen,
                 )
-        busy = self._busy
-        if busy and (now > self._free_at or (
-                now == self._free_at and sim._cur_seq > self._tx_seq)):
-            # _settle(), inlined: the transmitter fell idle unobserved.
-            stats.transmitted += 1
-            stats.bytes_transmitted += self._tx_pkt.size
-            stats.busy_time += self._tx_time
-            busy = self._busy = False
         pkt.enqueued_at = now
         stats.enqueued += 1
         size = pkt.size
@@ -652,12 +702,35 @@ class Port:
         else:
             self.sim.call_later_fast(self.delay, self._deliver, pkt)
         queue = self._queue
-        if queue:
-            pkt = queue.popleft()
-            self.queue_bytes -= pkt.size
-            self._transmit(pkt)
-        else:
+        if not queue:
             self._busy = False
+            return
+        pkt = queue.popleft()
+        size = pkt.size
+        self.queue_bytes -= size
+        if self._trace:
+            self._transmit(pkt)
+            return
+        # Untraced: start the next serialisation as _transmit would,
+        # without the frame (``_busy`` is still set).
+        sim = self.sim
+        now = sim._now
+        cache = self._ser_cache
+        tx = cache.get(size)
+        if tx is None:
+            tx = cache[size] = (size * BITS_PER_BYTE) / self._rate
+        self._tx_start = now
+        self._tx_pkt = pkt
+        self._tx_time = tx
+        free_at = self._free_at = now + tx
+        counter = sim._counter
+        seq = self._tx_seq = next(counter)
+        heap = sim._heap
+        heappush(heap, (free_at + self.delay, next(counter),
+                        self._deliver, (pkt,)))
+        if queue:
+            self._armed = True
+            heappush(heap, (free_at, seq, self._transmission_done, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "" if self._admin_up else f" DOWN({self._down_mode})"

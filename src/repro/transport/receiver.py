@@ -6,6 +6,12 @@ ACK (Fig. 3b counts these), and in-order delivery progress feeds the
 throughput time series (Fig. 9b).  ACKs are sent per data packet (no
 delayed ACK), which is what makes three dup ACKs a reliable reordering
 signal in the paper's experiments.
+
+Header prediction: a data segment with ``seq == rcv_nxt`` that finds the
+reorder buffer empty is delivered, checked for completion and answered
+with its cumulative ACK inside :meth:`TcpReceiver.handle`; anything else
+(a gap, a non-empty buffer, a spurious retransmission, SYN/FIN) takes
+``_advance`` / ``_send_data_ack``, which compute the same values.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ class TcpReceiver:
     __slots__ = (
         "sim", "host", "flow", "stats", "registry",
         "rcv_nxt", "_ooo_buffer", "_last_ack_value", "finished",
+        "_last_seq",
     )
 
     def __init__(self, sim: Simulator, host: "Host", flow: Flow, stats: FlowStats,
@@ -41,6 +48,8 @@ class TcpReceiver:
         self._ooo_buffer: set[int] = set()
         self._last_ack_value = -1
         self.finished = False
+        #: every segment below this one carries a full MSS
+        self._last_seq = flow.n_packets - 1
 
     def handle(self, pkt: Packet) -> None:
         """Consume one data-direction packet."""
@@ -54,14 +63,34 @@ class TcpReceiver:
                 # FIN raced ahead of retransmitted data; re-assert our hole.
                 self._send_data_ack(echo=pkt.ecn_marked)
             return
-        self._handle_data(pkt)
-
-    def _handle_data(self, pkt: Packet) -> None:
         stats = self.stats
         stats.packets_received += 1
         if pkt.ecn_marked:
             stats.ecn_marks += 1
         seq = pkt.seq
+        if seq == self.rcv_nxt and not self._ooo_buffer:
+            # The predicted segment (module docstring): _advance with
+            # nothing to drain and _send_data_ack in one frame.  The ACK
+            # value just advanced, so it cannot be a duplicate.
+            flow = self.flow
+            last = self._last_seq
+            delivered = flow.mss if seq < last else flow.payload_of(seq)
+            rcv_nxt = self.rcv_nxt = seq + 1
+            stats.bytes_delivered += delivered
+            registry = self.registry
+            if registry._delivery_observers:
+                registry.notify_delivery(flow, self.sim._now, delivered)
+            if seq == last and not self.finished:
+                self.finished = True
+                stats.completed = self.sim._now
+                registry.notify_completion(stats)
+            stats.acks_sent += 1
+            self._last_ack_value = rcv_nxt
+            self.host.send(Packet(
+                flow.id, flow.dst, flow.src, rcv_nxt, ACK_SIZE,
+                is_ack=True, ecn_echo=pkt.ecn_marked,
+            ))
+            return
         if seq == self.rcv_nxt:
             delivered = self._advance(seq)
             stats.bytes_delivered += delivered
@@ -113,7 +142,8 @@ class TcpReceiver:
         stats.acks_sent += 1
         if rcv_nxt == self._last_ack_value:
             stats.dup_acks_sent += 1
-            self.registry.notify_dupack(flow, self.sim._now)
+            if self.registry._dupack_observers:
+                self.registry.notify_dupack(flow, self.sim._now)
         self._last_ack_value = rcv_nxt
         self.host.send(ack)
 

@@ -15,6 +15,19 @@ paper are implemented faithfully:
 
 DCTCP (the paper's default transport) extends this class in
 :mod:`repro.transport.dctcp`.
+
+Header prediction
+-----------------
+Most ACKs of a healthy flow are the *predicted* one: the connection is
+established, the ACK acknowledges new data short of the last packet
+(``snd_una < ack < n``) and the sender is not in fast recovery.
+:meth:`TcpSender._handle_ack` finishes that ACK in its own frame — RTT
+sample, window growth, RTO deadline push, new segments at the full wire
+size (``Flow.payload_of`` is asked for the last one only) — computing
+what ``_arm_rto``, ``_try_send`` and ``_transmit`` compute, by the same
+operations in the same order.  Duplicate ACKs, fast recovery, the final
+ACK, SYN-ACK/FIN-ACK and timeouts go through those methods, which stay
+the single general implementation.
 """
 
 from __future__ import annotations
@@ -194,30 +207,67 @@ class TcpSender:
         if ack > n:
             raise TransportError(f"flow {self.flow.id}: ack {ack} beyond {n}")
         self._on_ecn_feedback(pkt)
-        if ack > self.snd_una:
-            self._on_new_ack(ack)
-        elif self.snd_una < n:
-            self._on_dup_ack()
-        self._try_send()
-        if self.snd_una >= n and not self.fin_sent:
-            self.stats.acked = self.sim._now
-            self._send_fin()
+        snd_una = self.snd_una
+        if ack > snd_una:
+            newly = ack - snd_una
+            self.snd_una = ack
+            self.dupacks = 0
+            # RTT sampling (Karn's rule: skip retransmitted segments).
+            now = self.sim._now
+            sample_seq = ack - 1
+            send_times = self._send_times
+            sent_at = send_times.pop(sample_seq, None)
+            if newly > 1:
+                for s in range(snd_una, sample_seq):
+                    send_times.pop(s, None)
+            if sent_at is not None and sample_seq not in self._retransmitted:
+                self.rto.sample(now - sent_at)
 
-    def _on_new_ack(self, ack: int) -> None:
-        newly = ack - self.snd_una
-        self.snd_una = ack
-        self.dupacks = 0
-        # RTT sampling (Karn's rule: skip retransmitted segments).
-        sample_seq = ack - 1
-        send_times = self._send_times
-        sent_at = send_times.pop(sample_seq, None)
-        for s in range(ack - newly, sample_seq):
-            send_times.pop(s, None)
-        if sent_at is not None and sample_seq not in self._retransmitted:
-            self.rto.sample(self.sim._now - sent_at)
-
-        if self.state == _FAST_RECOVERY:
-            if ack >= self.recover:
+            if self.state != _FAST_RECOVERY:
+                cwnd = self.cwnd
+                if self.state == _SLOW_START:
+                    cwnd += newly
+                    if cwnd >= self.ssthresh:
+                        self.state = _CONG_AVOID
+                else:
+                    cwnd += newly / cwnd
+                if cwnd > self.max_cwnd:
+                    cwnd = self.max_cwnd
+                self.cwnd = cwnd
+                if ack < n and self.established:
+                    # The predicted ACK (module docstring) ends here, in
+                    # this frame: what _arm_rto, _try_send and _transmit
+                    # would do, by the same operations in the same order.
+                    deadline = self._rto_deadline = now + self.rto.rto
+                    ev = self._rto_event
+                    if ev is None or ev.cancelled or ev.time > deadline:
+                        self._arm_rto()  # no live check fires by the deadline
+                    snd_nxt = self.snd_nxt
+                    budget = int(cwnd) - (snd_nxt - ack)
+                    if budget > 0 and snd_nxt < n:
+                        flow = self.flow
+                        flow_id, src, dst = flow.id, flow.src, flow.dst
+                        ecn_capable = self.config.ecn_capable
+                        stats = self.stats
+                        send = self.host.send
+                        # Flow.payload_of without its bounds check: every
+                        # packet but the last carries a full MSS
+                        full_size = flow.mss + DEFAULT_HEADER
+                        last = n - 1
+                        while budget > 0 and snd_nxt < n:
+                            stats.packets_sent += 1
+                            send_times[snd_nxt] = now
+                            send(Packet(
+                                flow_id, src, dst, snd_nxt,
+                                full_size if snd_nxt < last
+                                else flow.payload_of(snd_nxt) + DEFAULT_HEADER,
+                                ecn_capable=ecn_capable,
+                            ))
+                            snd_nxt += 1
+                            budget -= 1
+                        self.snd_nxt = snd_nxt
+                    return
+            elif ack >= self.recover:
                 # Full recovery: deflate to ssthresh and resume CA.
                 self.cwnd = self.ssthresh
                 self.state = _CONG_AVOID
@@ -225,22 +275,17 @@ class TcpSender:
                 # NewReno partial ACK: the next hole is also lost.
                 self._retransmit(self.snd_una)
                 self.cwnd = max(1.0, self.cwnd - newly + 1)
-        else:
-            self._grow_window(newly)
 
-        if ack >= self.n:
-            self._cancel_rto()
-        else:
-            self._arm_rto()
-
-    def _grow_window(self, newly_acked: int) -> None:
-        if self.state == _SLOW_START:
-            self.cwnd += newly_acked
-            if self.cwnd >= self.ssthresh:
-                self.state = _CONG_AVOID
-        else:
-            self.cwnd += newly_acked / self.cwnd
-        self.cwnd = min(self.cwnd, self.max_cwnd)
+            if ack >= n:
+                self._cancel_rto()
+            else:
+                self._arm_rto()
+        elif snd_una < n:
+            self._on_dup_ack()
+        self._try_send()
+        if self.snd_una >= n and not self.fin_sent:
+            self.stats.acked = self.sim._now
+            self._send_fin()
 
     def _on_dup_ack(self) -> None:
         self.dupacks += 1

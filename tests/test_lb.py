@@ -27,6 +27,11 @@ class FakePort:
         # tests manipulate queue_length; mirror it in bytes
         return self.queue_length * 1500
 
+    # what a scheme's per-packet loop reads on a real Port
+    # (docs/extending.md): the slots behind ``rate`` and ``queue_length``
+    _rate = property(lambda self: self.rate)
+    _queue = property(lambda self: range(self.queue_length))
+
     def __repr__(self):
         return f"<FakePort {self.name} q={self.queue_length}>"
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -134,6 +134,22 @@ def test_every_registered_scheme_is_pinned():
 @pytest.mark.parametrize("cell", sorted(TLB_COUNTERS))
 def test_tlb_counters_are_unchanged(cell):
     assert tlb_counter_totals(_run(cell)) == TLB_COUNTERS[cell]
+
+
+#: every kind a port, a switch or a transport endpoint emits
+_TRACE_KINDS = ("enqueue", "dequeue", "drop", "mark", "reroute", "retransmit",
+                "rto", "ooo")
+
+
+@pytest.mark.parametrize("cell", ["rps", "tlb", "tlb+faults", "tlb+incast"])
+def test_tracing_never_changes_the_outcome(cell):
+    """A traced port takes the general path through ``Port.enqueue`` /
+    ``_transmit``, an untraced one starts serialisations in place: the
+    two must agree byte for byte — through a link cut mid-serialisation,
+    parked traffic, drop-tail loss and reordering."""
+    result = run_scenario(replace(_cells()[cell], trace_kinds=_TRACE_KINDS))
+    assert {"enqueue", "dequeue"} <= set(result.tracer.records) <= set(_TRACE_KINDS)
+    assert outcome_digest(result) == PINS[cell]
 
 
 if __name__ == "__main__":  # re-record: prints the two tables

@@ -1,10 +1,14 @@
 """Tests for the queued output port (serialisation, drops, ECN, tracing)."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.net.port import Port
-from repro.sim.trace import RecordingTracer
+from repro.obs.tracers import CountingTracer
+from repro.sim.engine import Simulator
+from repro.sim.trace import NullTracer, RecordingTracer
 from repro.units import Gbps, Mbps, microseconds
 
 from tests.conftest import Sink, make_packet, make_port
@@ -336,3 +340,61 @@ def test_link_back_before_completion_still_delivers(sim, sink):
     assert sim.now == pytest.approx(22e-6)      # 12 us + 10 us, as uncut
     assert port.stats.transmitted == 1 and port.stats.dropped == 0
     assert port.stats.busy_time == pytest.approx(5e-6)  # pre-cut share only
+
+
+# -- the predicted arrival: in-place serialisation start ---------------------------
+
+def _start_state(sim, port):
+    """Everything a serialisation start writes, and what it left behind."""
+    s = port.stats
+    return (
+        tuple(getattr(s, name) for name in type(s).__slots__),
+        port._busy, port._tx_start, port._tx_pkt.seq, port._tx_time,
+        port._tx_seq, port._free_at, port._armed, port.queue_bytes,
+        sorted(entry[:2] for entry in sim._heap),
+    )
+
+
+def test_in_place_starts_leave_what_transmit_leaves():
+    """An untraced port starts serialisations inside ``enqueue`` and
+    ``_transmission_done``; a traced one goes through ``_transmit``.
+    Same arrivals, same counters, transmitter state and calendar."""
+    runs = []
+    for tracer in (None, CountingTracer()):
+        sim = Simulator()
+        port = make_port(sim, Sink(), tracer=tracer)
+        assert port._plain is (tracer is None)
+        states = []
+
+        def arrive(seq, size):
+            port.enqueue(make_packet(seq=seq, size=size))
+            states.append(_start_state(sim, port))
+
+        sim.schedule(0.0, arrive, 0, 1500)      # idle: starts at once
+        sim.schedule(1e-6, arrive, 1, 400)      # queues; completion starts it
+        sim.schedule(2e-6, arrive, 2, 1500)     # queues behind 1
+        sim.schedule(12.5e-6, lambda: states.append(_start_state(sim, port)))
+        sim.schedule(100e-6, arrive, 3, 40)     # idle again, settles first
+        sim.run()
+        states.append(_start_state(sim, port))
+        runs.append((states, sim.events_processed, sim.now))
+    assert runs[0] == runs[1]
+
+
+def test_plain_follows_tracer_link_state_and_loss(sim, sink):
+    port = make_port(sim, sink)
+    assert port._plain
+    port.tracer = RecordingTracer()
+    assert not port._plain
+    port.tracer = NullTracer()
+    assert port._plain
+    port.fail("park")
+    assert not port._plain
+    port.enqueue(make_packet(seq=0))             # parked, not started
+    assert port.queue_length == 1 and not port.busy
+    port.recover()
+    assert port._plain and port.busy
+    port.set_loss(0.5, random.Random(1))
+    assert not port._plain
+    port.loss_rate = 0.0
+    assert port._plain

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.net.packet import Packet
 from repro.net.port import Port, PortStats
+from repro.obs.tracers import CountingTracer
 from repro.sim.engine import Simulator
 
 TICK = 2.0 ** -20
@@ -130,12 +131,14 @@ class _Log:
             port.busy_time_now()))
 
 
-def _drive(port_cls, delay_ticks, ops):
+def _drive(port_cls, delay_ticks, ops, tracer=None):
     """Run one schedule; every op probes the port after acting."""
     sim = Simulator()
     log = _Log(sim)
     port = log.port = port_cls(sim, "p", RATE, delay_ticks * TICK, log,
                                buffer_packets=3, ecn_threshold=2)
+    if tracer is not None:
+        port.tracer = tracer
     seqs = iter(range(10_000))
 
     def send(size):
@@ -182,6 +185,9 @@ _SCHEDULES = st.lists(
 @given(delay_ticks=st.sampled_from((0, 1, 5, 64)), ops=_SCHEDULES)
 def test_port_matches_two_event_reference(delay_ticks, ops):
     assert _drive(Port, delay_ticks, ops) == _drive(TwoEventPort, delay_ticks, ops)
+    # a traced port takes the general enqueue/_transmit path throughout
+    assert _drive(Port, delay_ticks, ops, CountingTracer()) \
+        == _drive(Port, delay_ticks, ops)
 
 
 def test_enqueue_at_free_at_before_and_after_the_completion_position():

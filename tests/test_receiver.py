@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import TransportError
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.transport.flow import Flow, FlowRegistry
@@ -149,3 +150,61 @@ def test_make_listener_builds_receiver_from_registry():
     rx = listener(host, pkt)
     assert isinstance(rx, TcpReceiver)
     assert rx.flow is flow
+
+
+# -- the predicted segment and its boundaries -----------------------------------
+
+def make_uneven_receiver():
+    sim = Simulator()
+    host = FakeHost(sim, name="h1")
+    flow = Flow(id=1, src="h0", dst="h1", size=3 * 1460 + 100, start_time=0.0)
+    reg = FlowRegistry()
+    stats = reg.add(flow)
+    return host, TcpReceiver(sim, host, flow, stats, reg), stats, flow
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 0, 1, 2), (3, 2, 0, 1)])
+def test_uneven_flow_delivers_exactly_its_size(order):
+    """The short last segment counts its own bytes whether it arrives in
+    order or is drained from the reorder buffer."""
+    host, rx, stats, flow = make_uneven_receiver()
+    for seq in order:
+        rx.handle(data(seq))
+    assert stats.bytes_delivered == flow.size == 4480
+    assert stats.completed is not None and rx.finished
+    assert host.sent[-1].seq == 4
+
+
+def test_late_delivery_subscriber_sees_every_later_segment():
+    sim, host, rx, stats, reg = make_receiver()
+    rx.handle(data(0))                           # nobody listening yet
+    deliveries = []
+    reg.subscribe_delivery(lambda f, t, n: deliveries.append(n))
+    rx.handle(data(1))
+    rx.handle(data(2))
+    assert deliveries == [1460, 1460]
+
+
+def test_in_order_arrival_with_a_buffered_segment_drains_the_buffer():
+    """A non-empty reorder buffer is never the predicted case: the
+    in-order arrival must go through ``_advance``."""
+    sim, host, rx, stats, reg = make_receiver()
+    deliveries = []
+    reg.subscribe_delivery(lambda f, t, n: deliveries.append(n))
+    rx.handle(data(0))
+    rx.handle(data(3))                           # buffered, hole at 1..2
+    rx.handle(data(1))                           # in order, 3 still waits
+    assert rx.rcv_nxt == 2 and rx._ooo_buffer == {3}
+    rx.handle(data(2))                           # in order, drains 3
+    assert rx.rcv_nxt == 4 and not rx._ooo_buffer
+    assert [p.seq for p in host.sent] == [1, 1, 2, 4]
+    assert deliveries == [1460, 1460, 2920]
+    assert stats.dup_acks_sent == 1 and stats.out_of_order == 1
+
+
+def test_data_segment_beyond_the_flow_is_rejected():
+    sim, host, rx, stats, _ = make_receiver(n_packets=2)
+    rx.handle(data(0))
+    rx.handle(data(1))
+    with pytest.raises(TransportError):
+        rx.handle(data(2))

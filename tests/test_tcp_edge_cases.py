@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.transport.flow import Flow, FlowRegistry
+from repro.transport.rto import RtoEstimator
 from repro.transport.tcp import TcpConfig, TcpSender
 
 from tests.test_tcp import FakeHost, ack, establish, fin_ack, make_sender, syn_ack
@@ -123,3 +124,70 @@ def test_zero_data_after_establish_without_loss():
     seqs = [p.seq for p in host.sent if not p.syn and not p.fin]
     assert sorted(seqs) == sorted(set(seqs))
     assert stats.retransmits == 0
+
+
+# -- the predicted ACK and its boundaries ---------------------------------------
+
+def test_ack_covering_several_segments_samples_only_its_last():
+    """``newly > 1``: every covered send time is forgotten and the RTT
+    sample is that of ``ack - 1``, not of an earlier covered segment."""
+    sim, host, sender, _ = make_sender(n_packets=40)
+    establish(sim, host, sender)                 # t=0: seqs 0, 1
+    sim.schedule(1e-3, sender.handle, ack(1))    # t=1 ms: seqs 2, 3
+    sim.schedule(3e-3, sender.handle, ack(4))    # covers 1, 2, 3
+    sim.run(until=4e-3)
+    assert sender.snd_una == 4
+    assert sorted(sender._send_times) == list(range(4, sender.snd_nxt))
+    expected = RtoEstimator(sender.config.min_rto, sender.config.max_rto)
+    for rtt in (0.0, 1e-3, 3e-3 - 1e-3):         # handshake, seq 0, seq 3
+        expected.sample(rtt)
+    assert sender.rto.srtt == expected.srtt
+    assert sender.rto.rto == expected.rto
+
+
+def test_last_segment_of_an_uneven_flow_carries_the_remainder():
+    sim = Simulator()
+    host = FakeHost(sim)
+    flow = Flow(id=1, src="h0", dst="h1", size=3 * 1460 + 100, start_time=0.0)
+    sender = TcpSender(sim, host, flow, FlowRegistry().add(flow), TcpConfig())
+    establish(sim, host, sender)
+    for v in (1, 2, 3):
+        sender.handle(ack(v))
+    data = [p for p in host.sent if not p.syn and not p.fin]
+    assert [p.seq for p in data] == [0, 1, 2, 3]
+    assert [p.size for p in data] == [1500, 1500, 1500, 140]
+    assert sum(p.size - 40 for p in data) == flow.size
+
+
+def test_partial_ack_in_fast_recovery_is_not_a_predicted_ack():
+    sim, host, sender, stats = make_sender(n_packets=40)
+    establish(sim, host, sender)
+    for v in range(1, 9):
+        sender.handle(ack(v))
+    for _ in range(3):
+        sender.handle(ack(8))                    # enter FR, retransmit 8
+    recover, cwnd = sender.recover, sender.cwnd
+    sender.handle(ack(10))                       # partial: 2 newly acked
+    assert sender.state == 2 and sender.recover == recover
+    assert sender.cwnd == max(1.0, cwnd - 2 + 1)  # deflated, not grown
+    assert stats.retransmits == 2 and stats.fast_recoveries == 1
+    assert 10 in sender._retransmitted
+
+
+def test_ack_before_the_handshake_completes_sends_nothing():
+    sim, host, sender, _ = make_sender(n_packets=10)
+    sender.start()
+    sender.handle(ack(1))
+    assert [p for p in host.sent if not p.syn] == []
+
+
+def test_dup_ack_once_everything_is_acked_is_ignored():
+    sim, host, sender, stats = make_sender(n_packets=3)
+    establish(sim, host, sender)
+    for v in (1, 2, 3):
+        sender.handle(ack(v))
+    assert sender.fin_sent and stats.acked is not None
+    sent = len(host.sent)
+    sender.handle(ack(3))                        # snd_una == n: not a dup
+    assert stats.dup_acks_received == 0 and sender.dupacks == 0
+    assert len(host.sent) == sent
