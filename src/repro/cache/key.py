@@ -21,6 +21,18 @@ that produced it are unchanged, so every key combines two digests:
 Canonicalisation makes the digest independent of dict ordering and of
 tuple-vs-list spelling: values are projected to JSON with sorted keys,
 tuples become lists, and anything non-primitive falls back to ``repr``.
+A number is keyed by its value, not its type's spelling: a ``float``
+subclass (``numpy.float64``) keys as the ``float`` it equals and a
+non-bool integral (``numpy.int64``) as the ``int``; ``bool`` stays
+distinct from ``int``.
+
+Keys are cheap without remembering anything per config: each dataclass
+type gets one *field plan* (its semantic field names and one
+``attrgetter`` for their values), values of exact type ``str``, ``int``,
+``bool``, ``None`` or ``float`` skip the ``_canon`` walk, and one
+module-level encoder serialises the payload.  The only memo is
+:func:`~repro.workload.scenarios.canonical_workload`'s, keyed by the
+workload *string* and only for specs that read no files.
 """
 
 from __future__ import annotations
@@ -28,10 +40,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
+import operator
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro._version import __version__
+from repro.errors import ConfigError, FaultError
 
 __all__ = [
     "NON_SEMANTIC_FIELDS",
@@ -69,13 +84,15 @@ OBSERVER_EXTRAS = frozenset({
 
 
 def _canon(value: Any) -> Any:
-    """JSON-stable projection of one config field value."""
-    if isinstance(value, (str, int, bool)) or value is None:
+    """JSON-stable projection of one config field value (the reference
+    implementation; :func:`canonical_config` short-cuts plain values)."""
+    if isinstance(value, (str, int)) or value is None:  # bool is an int
         return value
     if isinstance(value, float):
         # repr() is the shortest round-trip form on every supported
-        # Python; int-valued floats stay distinct from ints ("1.0").
-        return repr(value)
+        # Python; int-valued floats stay distinct from ints ("1.0").  A
+        # subclass (numpy.float64) keys as the float it equals.
+        return repr(float(value))
     if isinstance(value, (list, tuple)):
         return [_canon(v) for v in value]
     if isinstance(value, Mapping):
@@ -83,7 +100,38 @@ def _canon(value: Any) -> Any:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _canon(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
+    if isinstance(value, numbers.Integral):  # numpy.int64 and friends
+        return int(value)
     return repr(value)
+
+
+#: values whose canonical form is themselves, by *exact* type (a
+#: subclass such as an ``IntEnum`` or ``numpy.float64`` takes ``_canon``)
+_VERBATIM = frozenset({str, int, bool, type(None)})
+
+#: dataclass type -> (semantic field names, one getter for their values)
+_FIELD_PLANS: dict[type, tuple[tuple[str, ...], Callable[[Any], tuple]]] = {}
+
+#: the digest's serialiser, built once (``json.dumps`` builds one a call)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _field_plan(cls: type) -> tuple[tuple[str, ...], Callable[[Any], tuple]]:
+    """The semantic field names of dataclass ``cls`` and a getter that
+    returns their values as a tuple; computed once per type."""
+    names = tuple(f.name for f in dataclasses.fields(cls)
+                  if f.name not in NON_SEMANTIC_FIELDS)
+    if len(names) > 1:
+        getter = operator.attrgetter(*names)
+    else:  # attrgetter of one name returns the bare value
+        getter = lambda obj: tuple(getattr(obj, n) for n in names)  # noqa: E731
+    plan = _FIELD_PLANS[cls] = (names, getter)
+    return plan
+
+
+#: ``repro.workload.scenarios.canonical_workload``, bound on first use so
+#: that importing the cache does not import the workload stack (numpy)
+_canonical_workload: Optional[Callable[[str], str]] = None
 
 
 def _canon_workload(spec: str) -> str:
@@ -96,11 +144,13 @@ def _canon_workload(spec: str) -> str:
     verbatim (a config that cannot parse cannot have produced a cached
     result either).
     """
-    from repro.errors import ConfigError
-    from repro.workload.scenarios import canonical_workload
+    global _canonical_workload
+    if _canonical_workload is None:
+        from repro.workload.scenarios import canonical_workload
 
+        _canonical_workload = canonical_workload
     try:
-        return canonical_workload(spec)
+        return _canonical_workload(spec)
     except ConfigError:
         return spec
 
@@ -110,7 +160,6 @@ def _canon_faults(spec: str) -> str:
     form: two spellings of one schedule — event order, spacing, number
     form, an explicit default mode — fill one set of cells.  Unparseable
     strings pass through verbatim, as in :func:`_canon_workload`."""
-    from repro.errors import FaultError
     from repro.faults import FaultSchedule
 
     try:
@@ -127,14 +176,23 @@ def canonical_config(config: Any) -> dict[str, Any]:
     through the scenario registry's canonical form (:func:`_canon_workload`)
     and a non-empty ``faults`` string through :func:`_canon_faults`.
     """
-    if not (dataclasses.is_dataclass(config) and not isinstance(config, type)):
-        raise TypeError(
-            f"cache keys need a dataclass config, got {type(config).__name__}")
-    out = {
-        f.name: _canon(getattr(config, f.name))
-        for f in dataclasses.fields(config)
-        if f.name not in NON_SEMANTIC_FIELDS
-    }
+    cls = type(config)
+    plan = _FIELD_PLANS.get(cls)
+    if plan is None:
+        if not (dataclasses.is_dataclass(config) and not isinstance(config, type)):
+            raise TypeError(
+                f"cache keys need a dataclass config, got {cls.__name__}")
+        plan = _field_plan(cls)
+    names, getter = plan
+    out = {}
+    for name, value in zip(names, getter(config)):
+        kind = type(value)
+        if kind in _VERBATIM:
+            out[name] = value
+        elif kind is float:
+            out[name] = repr(value)
+        else:
+            out[name] = _canon(value)
     if isinstance(out.get("workload"), str):
         out["workload"] = _canon_workload(out["workload"])
     if isinstance(out.get("faults"), str) and out["faults"]:
@@ -144,8 +202,7 @@ def canonical_config(config: Any) -> dict[str, Any]:
 
 def config_digest(config: Any) -> str:
     """SHA-256 hex digest of the canonical config projection."""
-    payload = json.dumps(canonical_config(config), sort_keys=True,
-                         separators=(",", ":"))
+    payload = _ENCODER.encode(canonical_config(config))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -184,8 +241,5 @@ def cache_key(config: Any, fingerprint: Optional[str] = None) -> str:
     """The content address of one (config, code) pair."""
     if fingerprint is None:
         fingerprint = code_fingerprint()
-    h = hashlib.sha256()
-    h.update(KEY_SCHEMA.encode())
-    h.update(fingerprint.encode())
-    h.update(config_digest(config).encode())
-    return h.hexdigest()
+    text = KEY_SCHEMA + fingerprint + config_digest(config)
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -44,7 +44,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from repro.cache.key import OBSERVER_EXTRAS, cache_key, code_fingerprint
 from repro.errors import ConfigError
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import Counter, MetricsRegistry, get_registry
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir", "parse_size"]
 
@@ -162,6 +162,10 @@ class ResultCache:
         self._metrics = metrics if metrics is not None else get_registry()
         self.hits = 0
         self.misses = 0
+        # The hit path works on plain strings and one counter handle:
+        # no Path object or registry look-up per lookup.
+        self._objects = os.path.join(self.root, _OBJECTS)
+        self._lookups: Optional[Counter] = None
 
     def _count(self, name: str, help: str, amount: float = 1,
                **labels) -> None:
@@ -179,13 +183,18 @@ class ResultCache:
         """The content address of ``config`` under the current code."""
         return cache_key(config, self.fingerprint)
 
+    def key_or_none(self, config: Any) -> Optional[str]:
+        """:meth:`key_for`, or None when ``config`` cannot be keyed (is
+        not a dataclass instance).  The ``*_key`` methods take None as
+        "uncacheable": a miss, a skipped write, an absent entry."""
+        try:
+            return self.key_for(config)
+        except TypeError:
+            return None
+
     def cacheable(self, config: Any) -> bool:
         """Whether ``config`` can be keyed (is a dataclass instance)."""
-        try:
-            self.key_for(config)
-        except TypeError:
-            return False
-        return True
+        return self.key_or_none(config) is not None
 
     def _object_path(self, key: str) -> Path:
         return self.root / _OBJECTS / f"{key}.pkl"
@@ -193,20 +202,34 @@ class ResultCache:
     def _quarantine_path(self, key: str) -> Path:
         return self.root / _QUARANTINE / f"{key}.pkl"
 
-    # -- lookup / store ----------------------------------------------------
+    # -- lookup / store, by config -----------------------------------------
+    #
+    # Each derives the key and defers to the by-key method below; a caller
+    # that needs the key twice (look up, then store the miss) derives it
+    # once with key_or_none() and calls the *_key methods itself.
 
     def contains(self, config: Any) -> bool:
-        """Whether a stored entry exists, without loading or counting it.
+        """Whether a stored entry exists, without loading or counting it."""
+        return self.contains_key(self.key_or_none(config))
 
-        A single path probe — what the fleet planner uses to mark cells
-        as already computed without paying the unpickle.
-        """
-        try:
-            return self._object_path(self.key_for(config)).exists()
-        except TypeError:
-            return False
+    def get(self, config: Any) -> Optional[Any]:
+        """The stored result for ``config``, or None on any miss."""
+        return self.get_key(self.key_or_none(config))
 
-    def _quarantine(self, path: Path, key: str) -> None:
+    def put(self, config: Any, result: Any) -> Optional[Path]:
+        """Store ``result`` under ``config``'s key (see :meth:`put_key`)."""
+        return self.put_key(self.key_or_none(config), result, config)
+
+    # -- lookup / store, by key --------------------------------------------
+
+    def contains_key(self, key: Optional[str]) -> bool:
+        """Whether an entry exists under ``key``, without loading or
+        counting it: a single path probe — what the fleet planner uses to
+        mark cells as already computed without paying the unpickle."""
+        return key is not None and \
+            os.path.exists(f"{self._objects}/{key}.pkl")
+
+    def _quarantine(self, path: str, key: str) -> None:
         """Move a corrupt entry aside for ``stats``/``gc`` accounting."""
         self._count("repro_cache_quarantined_total",
                     "Corrupt entries moved to quarantine on read.")
@@ -216,58 +239,61 @@ class ResultCache:
             os.replace(path, target)
         except OSError:
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
 
-    def get(self, config: Any) -> Optional[Any]:
-        """The stored result for ``config``, or None on any miss.
+    def get_key(self, key: Optional[str]) -> Optional[Any]:
+        """The result stored under ``key``, or None on any miss.
 
         Counts the lookup in :attr:`hits`/:attr:`misses`; a corrupted
         entry is quarantined and reported as a miss, never an error.
         """
-        lookups = "repro_cache_lookups_total"
-        lookups_help = "Cache lookups by result."
-        try:
-            key = self.key_for(config)
-        except TypeError:
+        lookups = self._lookups
+        if lookups is None:
+            lookups = self._lookups = self._metrics.counter(
+                "repro_cache_lookups_total", "Cache lookups by result.")
+        if key is None:
             self.misses += 1
-            self._count(lookups, lookups_help, result="miss")
+            lookups.inc(result="miss")
             return None
-        path = self._object_path(key)
+        path = f"{self._objects}/{key}.pkl"
         try:
-            blob = path.read_bytes()
-            result = pickle.loads(blob)
+            with open(path, "rb") as fh:
+                result = pickle.loads(fh.read())
         except FileNotFoundError:
             self.misses += 1
-            self._count(lookups, lookups_help, result="miss")
+            lookups.inc(result="miss")
             return None
         except Exception:
             # Truncated/corrupted/unreadable entry: set it aside (so
             # `repro cache stats` can report the corruption) and recompute.
             self._quarantine(path, key)
             self.misses += 1
-            self._count(lookups, lookups_help, result="miss")
+            lookups.inc(result="miss")
             return None
         self.hits += 1
-        self._count(lookups, lookups_help, result="hit")
+        lookups.inc(result="hit")
         try:  # LRU signal for gc(); never worth failing a hit over
             os.utime(path)
         except OSError:
             pass
         return result
 
-    def put(self, config: Any, result: Any) -> Optional[Path]:
-        """Store ``result`` under ``config``'s key (atomic rename).
+    def put_key(self, key: Optional[str], result: Any,
+                config: Any = None) -> Optional[Path]:
+        """Store ``result`` under ``key`` (atomic rename); ``config``
+        only labels the advisory index line.
 
-        Returns the entry path, or None when the config cannot be keyed
-        or the result cannot be pickled (both are silently uncacheable,
-        not errors — a sweep must never die on write-back).  Observer
+        Returns the entry path, or None when the key is None or the
+        result cannot be pickled (both are silently uncacheable, not
+        errors — a sweep must never die on write-back).  Observer
         output in ``result.extras`` (``OBSERVER_EXTRAS``) is left out of
         the stored copy.
         """
+        if key is None:
+            return None
         try:
-            key = self.key_for(config)
             extras = getattr(result, "extras", None)
             if isinstance(extras, dict) and not OBSERVER_EXTRAS.isdisjoint(extras):
                 # The stored entry is a function of the key, which does

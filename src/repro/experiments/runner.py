@@ -204,28 +204,42 @@ def _run_serial_task(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _task_done(kind: str, reporter: Optional[ProgressReporter]) -> None:
-    """Count one finished task: process metrics registry + heartbeat."""
-    get_registry().counter(
-        "repro_runner_tasks_total",
-        "Sweep tasks finished, by outcome.").inc(kind=kind)
-    if reporter is not None:
-        reporter.task_done(kind=kind)
-
-
 def _retry_scheduled() -> None:
     get_registry().counter(
         "repro_runner_retries_total",
         "Task attempts re-submitted after a retryable failure.").inc()
 
 
-def _record(reporter: Optional[ProgressReporter], cache, config, result):
-    """Book-keeping for one finished task: write-back, then its kind."""
-    failed = isinstance(result, TaskFailure)
-    if cache is not None and not failed:
-        cache.put(config, result)
-    _task_done("failed" if failed else "computed", reporter)
-    return result
+class _Books:
+    """One ``run_many`` call's book-keeping for finished tasks: the
+    process registry counter (resolved once per call), the heartbeat,
+    and the cache write-back under the key derived at lookup."""
+
+    def __init__(self, reporter: Optional[ProgressReporter], cache,
+                 n_tasks: int):
+        self.reporter = reporter
+        self.cache = cache
+        #: per task, the cache key its lookup used (None: no cache, or
+        #: an unkeyable config) — a miss is stored without re-deriving it
+        self.keys: list[Optional[str]] = [None] * n_tasks
+        self._tasks = None
+
+    def done(self, kind: str) -> None:
+        """Count one finished task: process metrics registry + heartbeat."""
+        if self._tasks is None:
+            self._tasks = get_registry().counter(
+                "repro_runner_tasks_total", "Sweep tasks finished, by outcome.")
+        self._tasks.inc(kind=kind)
+        if self.reporter is not None:
+            self.reporter.task_done(kind=kind)
+
+    def record(self, index: int, config, result):
+        """One finished task: write-back, then its kind."""
+        failed = isinstance(result, TaskFailure)
+        if self.cache is not None and not failed:
+            self.cache.put_key(self.keys[index], result, config)
+        self.done("failed" if failed else "computed")
+        return result
 
 
 def run_many(
@@ -306,15 +320,18 @@ def run_many(
         reporter = ProgressReporter(len(configs), label=label)
 
     results: list = [None] * len(configs)
+    books = _Books(reporter, cache, len(configs))
     # Resolve cache hits before sizing (or spawning) the pool: the
     # fastest task is one never submitted.
     if cache is not None:
         todo: list[int] = []
+        keys = books.keys
         for i, config in enumerate(configs):
-            hit = cache.get(config)
+            key = keys[i] = cache.key_or_none(config)
+            hit = cache.get_key(key)
             if hit is not None:
                 results[i] = hit
-                _task_done("cached", reporter)
+                books.done("cached")
             else:
                 todo.append(i)
     else:
@@ -326,15 +343,15 @@ def run_many(
         processes = min(os.cpu_count() or 1, len(todo))
     if processes > 1 and len(todo) > 1:
         todo = _run_pool(
-            configs, todo, results, processes, runner, reporter,
+            configs, todo, results, processes, runner, books,
             on_error=on_error, retries=retries, timeout=timeout,
-            cache=cache, chunksize=chunksize,
+            chunksize=chunksize,
         )
     # The in-process path: serial by request, or whatever the pool could
     # not run (no worker processes here, or the pool broke mid-flight).
     for i in todo:
-        results[i] = _record(
-            reporter, cache, configs[i],
+        results[i] = books.record(
+            i, configs[i],
             _run_serial_task(runner, configs[i], i, retries, on_error))
     return results
 
@@ -391,12 +408,11 @@ def _run_pool(
     results: list,
     processes: int,
     runner: Callable,
-    reporter: Optional[ProgressReporter],
+    books: _Books,
     *,
     on_error: str,
     retries: int,
     timeout: Optional[float],
-    cache,
     chunksize: Optional[int],
 ) -> list[int]:
     """The parallel path: chunking, retries, timeouts.  Returns the
@@ -424,7 +440,7 @@ def _run_pool(
         started[fut] = None
 
     def finish(idx: int, result) -> None:
-        results[idx] = _record(reporter, cache, configs[idx], result)
+        results[idx] = books.record(idx, configs[idx], result)
 
     def settle(failure: TaskFailure, exc: BaseException, fatal: bool) -> None:
         """The failed-attempt rule, for every way an attempt can fail
@@ -520,7 +536,7 @@ def _run_pool(
         # results the next run would otherwise recompute.  Harvest them
         # into the result slots (and the cache) before propagating, so
         # Ctrl-C loses at most the tasks still in flight.
-        _harvest_finished(pending, configs, results, reporter, cache)
+        _harvest_finished(pending, configs, results, books)
         any_timeout = True  # don't block shutdown on still-running tasks
         raise
     finally:
@@ -533,12 +549,11 @@ def _harvest_finished(
     pending: dict,
     configs: list,
     results: list,
-    reporter: Optional[ProgressReporter],
-    cache,
+    books: _Books,
 ) -> None:
     """Collect every already-completed pending future's results.
 
-    Used on interrupt: ``_record`` writes each harvested result through
+    Used on interrupt: ``books.record`` writes each harvested result through
     the cache, so an interrupted-then-rerun sweep resumes from exactly
     where the workers got to.  Errors are ignored — the interrupt is
     already propagating and a rerun will retry them.
@@ -553,7 +568,7 @@ def _harvest_finished(
         items = [payload] if len(idxs) == 1 else payload
         for idx, item in zip(idxs, items):
             if not isinstance(item, _ChunkItemError):
-                results[idx] = _record(reporter, cache, configs[idx], item)
+                results[idx] = books.record(idx, configs[idx], item)
 
 
 def _wait_budget(

@@ -4,9 +4,11 @@
 content-addressed key (the result-cache key, so "already computed" and
 "cache hit" are the same fact), cells whose results are already stored
 are planned as ``cached`` and never re-enter the queue, and the whole
-plan is written atomically.  Planning an existing fleet directory is a
-*resume*: the journal survives as-is after a consistency check, so
-``repro fleet run … && repro fleet run …`` recomputes nothing.
+plan is written atomically.  The key is derived once, here: workers and
+the collector look results up by the journaled key.  Planning an
+existing fleet directory is a *resume*: the journal survives as-is after
+a consistency check, so ``repro fleet run … && repro fleet run …``
+recomputes nothing.
 
 ``run_fleet`` then drives the sweep: spawn N worker subprocesses (or an
 inline worker for ``workers=0`` — sandboxes without subprocess, tests),
@@ -130,7 +132,7 @@ def plan_fleet(
             "kind": "cell",
             "cell": key,
             "index": i,
-            "cached": cache.contains(config),
+            "cached": cache.contains_key(key),
             "config": jn.config_to_json(config),
         }
         for i, (key, config) in enumerate(keyed)
@@ -377,7 +379,7 @@ def _collect(state: jn.FleetState, cache, inline_runner, *,
     for cell in state.ordered():
         config = state.config_for(cell)
         if cell.status == jn.DONE:
-            result = cache.get(config)
+            result = cache.get_key(cell.key)
             if result is None:
                 # Evicted (or corrupted) between compute and collect:
                 # recompute inline rather than losing the cell.
@@ -385,7 +387,7 @@ def _collect(state: jn.FleetState, cache, inline_runner, *,
                     runner = jn.resolve_callable(
                         state.header.get("runner", DEFAULT_RUNNER_SPEC))
                 result = runner(config)
-                cache.put(config, result)
+                cache.put_key(cell.key, result, config)
             results[cell.index] = result
             if cell.cached or cell.key in pre_done:
                 cached += 1

@@ -236,8 +236,9 @@ class FleetWorker:
             self._count("repro_fleet_claims_total",
                         "Cells claimed by this worker.")
             # Another fleet (or a crashed worker that cached before its
-            # ``done`` record) may have computed this cell already.
-            if self.cache.get(config) is not None:
+            # ``done`` record) may have computed this cell already.  The
+            # journaled key is the cache key the plan derived.
+            if self.cache.get_key(cell.key) is not None:
                 self._journal({"kind": "done", "cell": cell.key,
                                "worker": self.name, "t": self.clock(),
                                "from_cache": True})
@@ -253,7 +254,7 @@ class FleetWorker:
             except Exception as exc:
                 self._record_error(cell, exc)
                 return
-            self.cache.put(config, result)
+            self.cache.put_key(cell.key, result, config)
             self._journal({"kind": "done", "cell": cell.key,
                            "worker": self.name, "t": self.clock(),
                            "elapsed": self.clock() - t0})

@@ -36,29 +36,45 @@ and makes whole runs self-describing:
   every export).
 """
 
-from repro.obs.diff import MetricDelta, diff_paths, diff_rows, format_diff, load_rows
-from repro.obs.manifest import MANIFEST_NAME, build_manifest, git_sha, write_manifest
-from repro.obs.metrics import (
-    METRICS_JSON_NAME,
-    METRICS_PROM_NAME,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    parse_prom,
-)
-from repro.obs.profiler import EngineProfiler
-from repro.obs.progress import (
-    ProgressReporter,
-    format_fleet_heartbeat,
-    format_fleet_workers,
-)
-from repro.obs.recorder import FlightRecorder, RecordedRun
-from repro.obs.report import render_html_report, write_html_report
-from repro.obs.spans import SpanBuffer, format_explain, load_spans
-from repro.obs.summarize import TraceSummary, format_trace_summary, summarize_trace
-from repro.obs.tracers import CountingTracer, JsonlTracer, TeeTracer
+from importlib import import_module
+
+#: public name -> the submodule defining it.  Submodules load on first
+#: attribute access (PEP 562), so importing one light module — the
+#: result cache needs only ``repro.obs.metrics`` — does not pull in the
+#: recorder, report, spans, diff and summarize stacks (and numpy).
+_EXPORTS = {
+    "diff": ("MetricDelta", "diff_paths", "diff_rows", "format_diff",
+             "load_rows"),
+    "manifest": ("MANIFEST_NAME", "build_manifest", "git_sha",
+                 "write_manifest"),
+    "metrics": ("METRICS_JSON_NAME", "METRICS_PROM_NAME", "Counter",
+                "Gauge", "Histogram", "MetricsRegistry", "get_registry",
+                "parse_prom"),
+    "profiler": ("EngineProfiler",),
+    "progress": ("ProgressReporter", "format_fleet_heartbeat",
+                 "format_fleet_workers"),
+    "recorder": ("FlightRecorder", "RecordedRun"),
+    "report": ("render_html_report", "write_html_report"),
+    "spans": ("SpanBuffer", "format_explain", "load_spans"),
+    "summarize": ("TraceSummary", "format_trace_summary", "summarize_trace"),
+    "tracers": ("CountingTracer", "JsonlTracer", "TeeTracer"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items()
+           for name in names}
+
+
+def __getattr__(name: str):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCE))
+
 
 __all__ = [
     "CountingTracer",

@@ -642,10 +642,17 @@ EXAMPLE_SPECS: dict[str, str] = {
 }
 
 
+#: spec string -> canonical form, for specs that read no files (a pure
+#: function of the string while the registry stands); cleared when full
+_CANONICAL_MEMO: dict[str, str] = {}
+_CANONICAL_MEMO_MAX = 4096
+
+
 def register_scenario(kind: str, cls: Type[Scenario]) -> None:
     """Register a scenario class under ``kind`` (overwrites silently so
     tests can stub kinds, like :func:`repro.lb.registry.register_scheme`)."""
     SCENARIO_KINDS[kind] = cls
+    _CANONICAL_MEMO.clear()
 
 
 for _cls in (PoissonScenario, EmpiricalCdfScenario, ZipfScenario,
@@ -680,17 +687,25 @@ def canonical_workload(spec: str) -> str:
     scenario specs canonicalise (so an alias and its expansion, or two
     param orderings, share one cache cell) and append the content
     fingerprints of any files read, so editing a trace file invalidates
-    exactly the cells that used it.
+    exactly the cells that used it.  A grid repeats one spec in every
+    cell, so a file-free spec is parsed once per process; a spec that
+    reads files is re-parsed (and its files re-digested) on every call.
     """
     if spec in LEGACY_WORKLOADS:
         return spec
+    canonical = _CANONICAL_MEMO.get(spec)
+    if canonical is not None:
+        return canonical
     scenario = parse_scenario(spec)
     canonical = scenario.canonical()
     digests = scenario.file_digests()
     if digests:
         tagged = ",".join(f"{path}={digest}"
                           for path, digest in sorted(digests.items()))
-        canonical += f"#files[{tagged}]"
+        return canonical + f"#files[{tagged}]"
+    if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_MAX:
+        _CANONICAL_MEMO.clear()
+    _CANONICAL_MEMO[spec] = canonical
     return canonical
 
 

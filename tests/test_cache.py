@@ -391,3 +391,220 @@ def test_stored_entry_never_carries_observer_output(tmp_path):
     # ... and equals what an observer-free run stores and returns.
     assert metrics_to_dict(stored) == metrics_to_dict(
         run_scenario_metrics(config))
+
+
+# -- pinned keys: the fast canonicalisation is byte-identical --------------
+
+CDF_TRACE = "# size_bytes, cdf\n1000, 0.0\n10000, 0.5\n100000 1.0\n"
+
+#: name -> ScenarioConfig overrides.  Together they cover an int-valued
+#: float, -0.0, nan, None optionals, nested link_overrides, non-empty
+#: scheme_params, a faults spec, a workload alias, incast:, mix: and a
+#: cdf:file= trace (a relative path, resolved in the test's directory).
+PINNED_CONFIGS = {
+    "default": {},
+    "int_valued_floats": {"load": 1.0, "horizon": 3.0, "seed": 7},
+    "signed_zero_nan_params": {
+        "fault_detection_delay": -0.0,
+        "scheme_params": {"flowlet_timeout": 1e-4, "gain": float("nan"),
+                          "enabled": True, "paths": [1, 2.5, None]}},
+    "none_optionals": {"ecn_threshold": None, "min_rto": None,
+                       "truncate_tail": None, "transport": "tcp"},
+    "nested_overrides_faults": {
+        "link_overrides": ((0, 1, 0.5, 0.0), (1, 3, 0.25, 1e-05)),
+        "faults": " 0.30:link_up:leaf0-spine1 ; 0.10:link_down:leaf0-spine1"},
+    "alias": {"workload": "tenantA", "n_leaves": 4},
+    "incast": {"workload": "incast:period=10ms,fanin=8", "n_leaves": 4},
+    "mix": {"workload": "mix:tenantA@0.7+incast@0.3", "n_leaves": 4},
+    "cdf_file": {"workload": "cdf:file=trace.csv,load=0.3", "n_leaves": 4},
+}
+
+#: config_digest of each PINNED_CONFIGS entry, recorded before the
+#: per-type field plan replaced the per-call ``dataclasses.fields`` walk
+PINNED_DIGESTS = {
+    "alias":
+        "bca6f3a2b93ab2b277db9ae50f30a78726a672c850079c4e593da62cc70c4ab8",
+    "cdf_file":
+        "31485a46c2a5fb0f7fbb94dfad825d011c395ee5516a539967f40f99f804b4ae",
+    "default":
+        "c8a67840aefd7b685f5d7802cd3ef9238b5ec2c9900e3fa940336129e4a4e76e",
+    "incast":
+        "27a5ce525b1803babb9f82bd1b11affe1c26824f194debc66c3f3bd4f8d4da85",
+    "int_valued_floats":
+        "a5322f5e6f7162c83f0f5c82ac8bfa0369a1d5b6c7b37515d053ec949196b256",
+    "mix":
+        "099b4d0432ed6092b7b96cf2aee8079d10aa100b844c749a06efbb98968d41e4",
+    "nested_overrides_faults":
+        "c5afe340d50b814f95de7aca72efc5c4ce3136e78fc3c7fa3707a31bdec8c09b",
+    "none_optionals":
+        "679c2d211801f7fc9a70fb3440d7107a75ab4bfe0bb673ca4babb253e231ab55",
+    "signed_zero_nan_params":
+        "cad1ceed4ca568325c74bbd2cc41e6c6273895840916e2c14896bda25e04f205",
+}
+
+
+@pytest.fixture
+def in_trace_dir(tmp_path, monkeypatch):
+    """cwd = a directory holding ``trace.csv`` (the cdf pin's trace)."""
+    (tmp_path / "trace.csv").write_text(CDF_TRACE)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_config_digests_are_pinned(name, in_trace_dir):
+    config = ScenarioConfig(**PINNED_CONFIGS[name])
+    assert config_digest(config) == PINNED_DIGESTS[name]
+    assert cache_key(config, FP) == cache_key(config, FP)
+
+
+# -- the fast path equals the reference ------------------------------------
+
+
+def _reference_canonical(config):
+    """``canonical_config`` as a per-call ``dataclasses.fields`` walk
+    through ``_canon`` — the definition the field plan must reproduce."""
+    import dataclasses
+
+    out = {f.name: key_mod._canon(getattr(config, f.name))
+           for f in dataclasses.fields(config)
+           if f.name not in NON_SEMANTIC_FIELDS}
+    if isinstance(out.get("workload"), str):
+        out["workload"] = key_mod._canon_workload(out["workload"])
+    if isinstance(out.get("faults"), str) and out["faults"]:
+        out["faults"] = key_mod._canon_faults(out["faults"])
+    return out
+
+
+def _reference_digest(config) -> str:
+    import hashlib
+    import json
+
+    payload = json.dumps(_reference_canonical(config), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _field_values():
+    import enum
+
+    import numpy as np
+    from hypothesis import strategies as st
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(),
+        st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+        st.floats(allow_nan=False).map(np.float64),
+        st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+        st.just(Level.LOW))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=8)
+
+
+def _overridable_fields() -> list:
+    import dataclasses
+
+    return [f.name for f in dataclasses.fields(ScenarioConfig)
+            if f.name not in NON_SEMANTIC_FIELDS | {"workload", "faults"}]
+
+
+def test_canonical_config_equals_the_reference_walk():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    workloads = st.sampled_from(
+        ["static", "poisson", "tenantA", "incast:fanin=8,period=10ms",
+         "mix:tenantA@0.7+incast@0.3", "not a spec"])
+    faults = st.sampled_from(
+        ["", "0.1:link_down:leaf0-spine1", "garbage:::"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_overridable_fields()),
+                           _field_values(), max_size=6),
+           workloads, faults)
+    def check(overrides, workload, fault):
+        config = ScenarioConfig()
+        # bypass __post_init__: keying must not depend on validity
+        for name, value in {**overrides, "workload": workload,
+                            "faults": fault}.items():
+            object.__setattr__(config, name, value)
+        assert canonical_config(config) == _reference_canonical(config)
+        assert config_digest(config) == _reference_digest(config)
+
+    check()
+
+
+def test_field_plan_handles_one_and_zero_semantic_fields():
+    import dataclasses
+
+    @dataclasses.dataclass
+    class One:
+        x: float = 0.5
+        telemetry: bool = True
+
+    @dataclasses.dataclass
+    class Observers:
+        trace_kinds: tuple = ()
+
+    assert canonical_config(One()) == _reference_canonical(One()) == {"x": "0.5"}
+    assert canonical_config(Observers()) == {}
+    with pytest.raises(TypeError):
+        canonical_config(One)  # the class, not an instance
+
+
+def test_numpy_scalars_key_as_the_python_numbers_they_equal():
+    import numpy as np
+
+    plain = ScenarioConfig(load=0.4, seed=3)
+    numpyish = ScenarioConfig(load=np.float64(0.4), seed=np.int64(3))
+    assert numpyish == plain
+    assert config_digest(numpyish) == config_digest(plain)
+    assert config_digest(BASE.with_(scheme_params={"k": [np.int64(2)]})) == \
+        config_digest(BASE.with_(scheme_params={"k": [2]}))
+    # ...by value and type class, not equality: True, 1 and 1.0 are equal
+    # yet canonicalise differently, so they stay three cells
+    assert len({config_digest(BASE.with_(scheme_params={"k": v}))
+                for v in (True, 1, 1.0)}) == 3
+
+
+# -- no key is remembered per config ----------------------------------------
+
+
+def test_keys_are_recomputed_not_remembered(in_trace_dir):
+    cache = make_cache(in_trace_dir)
+    config = BASE.with_(scheme_params={"flowlet_timeout": 1e-4})
+    before = cache.key_for(config)
+    config.scheme_params["flowlet_timeout"] = 2e-4  # a dict in a frozen config
+    assert cache.key_for(config) != before
+    # a fresh (unpickled) object keys exactly as the original
+    assert cache.key_for(pickle.loads(pickle.dumps(config))) == \
+        cache.key_for(config)
+    # a trace edit is seen by the next lookup in the same process
+    cdf = ScenarioConfig(**PINNED_CONFIGS["cdf_file"])
+    first = cache.key_for(cdf)
+    assert cache.key_for(cdf) == first
+    with open("trace.csv", "a") as fh:
+        fh.write("# touched\n")
+    assert cache.key_for(cdf) != first
+    assert "#files[trace.csv=" in canonical_config(cdf)["workload"]
+
+
+def test_importing_the_cache_leaves_the_observability_stack_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, repro.cache\n"
+            "print('repro.obs.recorder' in sys.modules)\n"
+            "from repro.obs import FlightRecorder, MetricsRegistry\n"
+            "print('repro.obs.recorder' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True"]
