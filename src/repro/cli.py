@@ -35,19 +35,20 @@ Commands
 ``cache``
     Result-cache maintenance: ``stats`` (``--json`` for machines),
     ``clear``, ``gc --max-size``.
-``fleet run`` / ``resume`` / ``status`` / ``workers``
+``fleet run`` / ``resume``
     Crash-resilient distributed sweeps: cells are journaled into a fleet
     directory, claimed by lease-holding worker processes, and written to
     the shared result cache — a SIGKILLed worker's lease is reclaimed by
     the watchdog and rerunning (or ``fleet resume``) recomputes nothing
-    already finished.  ``status``/``workers`` inspect a live or crashed
-    fleet without touching it (``status --json`` for machines).
-``fleet top`` / ``fleet report``
-    Mission control over a fleet directory: ``top`` is a live
-    auto-refreshing terminal view (per-worker liveness, stragglers,
-    drain-rate ETA, reclaim churn); ``report DIR --html`` renders the
-    same view as a self-contained dashboard (worker swimlanes,
-    cell-latency histogram, cache-hit share over time).
+    already finished.
+``fleet status`` / ``fleet top`` / ``fleet report``
+    Mission control over a live or crashed fleet directory, without
+    touching it.  All three (and ``--progress``) render one view:
+    ``status`` prints one frame of ``top`` (``--json`` for machines);
+    ``top`` refreshes it (per-worker liveness, stragglers, drain-rate
+    ETA, reclaim churn); ``report DIR --html`` renders it as a
+    self-contained dashboard (worker swimlanes, cell-latency histogram,
+    cache-hit share over time).
 
 ``run``, ``sweep``, and fleet runs additionally drop a
 ``metrics.prom`` / ``metrics.json`` pair beside any ``--csv`` /
@@ -283,10 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     fstatus.add_argument("--dir", required=True, metavar="DIR")
     fstatus.add_argument("--json", action="store_true",
                          help="machine-readable status on stdout")
-
-    fworkers = fleet_sub.add_parser(
-        "workers", help="per-worker liveness and progress")
-    fworkers.add_argument("--dir", required=True, metavar="DIR")
 
     ftop = fleet_sub.add_parser(
         "top", help="live mission-control view of a fleet directory")
@@ -623,12 +620,14 @@ def _write_metrics_beside(*export_paths: Optional[str]) -> None:
             print("wrote", path)
 
 
-def _cmd_fleet_top(args: argparse.Namespace) -> int:
+def _cmd_fleet_view(args: argparse.Namespace) -> int:
+    """``fleet status`` (one frame, or ``--json``) and ``fleet top``."""
     import time
 
     from repro.fleet.observer import FleetObserver, format_top
 
     observer = FleetObserver(args.dir)
+    once = args.fleet_command == "status"
     refreshes = 0
     try:
         while True:
@@ -636,9 +635,17 @@ def _cmd_fleet_top(args: argparse.Namespace) -> int:
             if not view.header:
                 print(f"no fleet journal in {args.dir}", file=sys.stderr)
                 return 1
-            if not args.no_clear:
+            if once and args.json:
+                import json
+
+                print(json.dumps(_json_safe(view.to_dict()), indent=2,
+                                 sort_keys=True))
+                return 0
+            if not (once or args.no_clear):
                 print("\x1b[2J\x1b[H", end="")
             print(format_top(view), flush=True)
+            if once:
+                return 0
             refreshes += 1
             drained = (view.counts.get("total", 0) > 0
                        and view.counts.get("pending", 0) == 0)
@@ -656,19 +663,21 @@ def _cmd_fleet_top(args: argparse.Namespace) -> int:
 def _cmd_fleet_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.fleet import journal as jn
     from repro.fleet.observer import (
-        FleetObserver, fleet_metrics, write_fleet_report)
+        FleetObserver, fleet_metrics, format_summary, render_fleet_report)
 
-    paths = jn.FleetPaths(Path(args.dir))
-    records = jn.read_records(paths.journal)
-    if not records:
+    observer = FleetObserver(args.dir)
+    view = observer.refresh()
+    if not view.header:
         print(f"no fleet journal in {args.dir}", file=sys.stderr)
         return 1
-    out = args.html or str(paths.root / "report.html")
-    print("wrote", write_fleet_report(args.dir, out,
-                                      observer=FleetObserver(args.dir)))
-    for path in fleet_metrics(records).write_files(paths.root):
+    print(format_summary(view))
+    out = Path(args.html or observer.paths.root / "report.html")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(render_fleet_report(view))
+    print("wrote", out)
+    for path in fleet_metrics(observer.records).write_files(
+            observer.paths.root):
         print("wrote", path)
     return 0
 
@@ -679,49 +688,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
         return fleet_worker_main(args.dir, worker_name=args.worker_id,
                                  cache_dir=args.cache_dir, poll=args.poll)
-    if args.fleet_command == "top":
-        return _cmd_fleet_top(args)
+    if args.fleet_command in ("status", "top"):
+        return _cmd_fleet_view(args)
     if args.fleet_command == "report":
         return _cmd_fleet_report(args)
-    if args.fleet_command in ("status", "workers"):
-        from repro.fleet import fleet_status
-        from repro.obs.progress import (
-            format_fleet_heartbeat, format_fleet_workers)
-
-        status = fleet_status(args.dir)
-        if not status["header"]:
-            print(f"no fleet journal in {args.dir}", file=sys.stderr)
-            return 1
-        if args.fleet_command == "status" and args.json:
-            import json
-
-            print(json.dumps(_json_safe(status), indent=2, sort_keys=True))
-            return 0
-        if args.fleet_command == "workers":
-            lines = format_fleet_workers(status)
-            if not lines:
-                print("no workers have registered yet")
-            for line in lines:
-                print(line)
-            return 0
-        print(format_fleet_heartbeat(status, label="fleet"))
-        cells = status["cells"]
-        print(f"cells: total={cells['total']} done={cells['done']}"
-              f" failed={cells['failed']} pending={cells['pending']}"
-              f" running={cells['running']} backoff={cells['backoff']}")
-        for line in format_fleet_workers(status):
-            print(line)
-        stale = [entry for entry in status["leases"] if entry["stale"]]
-        if stale:
-            print(f"{len(stale)} stale lease(s) awaiting reclaim")
-        return 0
     return _cmd_fleet_run(args, resume=args.fleet_command == "resume")
 
 
 def _cmd_fleet_run(args: argparse.Namespace, *, resume: bool) -> int:
     from repro.cache import ResultCache
-    from repro.fleet import run_fleet
-    from repro.obs.progress import fleet_heartbeat_printer
+    from repro.fleet import format_summary, run_fleet
 
     if resume:
         configs = None
@@ -734,7 +710,8 @@ def _cmd_fleet_run(args: argparse.Namespace, *, resume: bool) -> int:
         result = run_fleet(
             configs, fleet_dir=args.dir, cache=ResultCache(args.cache_dir),
             workers=args.workers, on_status=(
-                fleet_heartbeat_printer("fleet") if args.progress else None),
+                (lambda view: print(format_summary(view), file=sys.stderr,
+                                    flush=True)) if args.progress else None),
             **kwargs)
     except KeyboardInterrupt:
         # Workers were drained gracefully (each finished and cached its
@@ -759,11 +736,7 @@ def _cmd_fleet_run(args: argparse.Namespace, *, resume: bool) -> int:
         # so subprocess workers' activity is fully accounted.
         from pathlib import Path
 
-        from repro.fleet import journal as jn
-        from repro.fleet.observer import fleet_metrics
-
-        records = jn.read_records(jn.FleetPaths(Path(args.dir)).journal)
-        for mpath in fleet_metrics(records).write_files(
+        for mpath in result.metrics.write_files(
                 Path(args.csv).resolve().parent):
             print("wrote", mpath)
     return code

@@ -71,6 +71,7 @@ schedule only while tasks are still queued (a future's transition to
 from __future__ import annotations
 
 import os
+import sys
 import time
 import traceback as _traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -83,7 +84,7 @@ from repro.experiments.common import ScenarioConfig, run_scenario_metrics
 from repro.fleet.taxonomy import is_fatal
 from repro.metrics.collector import RunMetrics
 from repro.obs.metrics import get_registry
-from repro.obs.progress import ProgressReporter, fleet_heartbeat_printer
+from repro.obs.progress import ProgressReporter
 
 __all__ = ["TaskFailure", "TaskError", "run_many", "sweep", "partition_results"]
 
@@ -374,7 +375,10 @@ def _run_fleet_backend(
             "fleet_dir requires a result cache (pass cache=...): the fleet"
             " fabric stores every result content-addressed so crashed and"
             " resumed runs never recompute")
-    from repro.fleet import run_fleet
+    from repro.fleet import format_summary, run_fleet
+
+    def heartbeat(view) -> None:
+        print(format_summary(view, label=label), file=sys.stderr, flush=True)
 
     # The default runner is resolvable by dotted spec inside worker
     # subprocesses; only a custom runner needs to travel as an object.
@@ -386,7 +390,7 @@ def _run_fleet_backend(
         workers=processes,
         runner=fleet_runner,
         max_attempts=1 + retries,
-        on_status=fleet_heartbeat_printer(label) if progress else None,
+        on_status=heartbeat if progress else None,
     )
     if result.failures and on_error == "raise":
         first = result.failures[0]

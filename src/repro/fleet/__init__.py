@@ -11,14 +11,14 @@ zero recomputation (:mod:`~repro.fleet.coordinator`).
 
 Entry points: :func:`run_fleet` (and ``repro fleet run`` on the CLI),
 or ``run_many(..., fleet_dir=...)`` to route an ordinary sweep through
-the fabric.  Mission control — per-worker timelines, straggler cells,
-drain-rate ETA, and the ``repro fleet top`` / ``fleet report --html``
-views — lives in :mod:`~repro.fleet.observer`.
+the fabric.  Mission control — the one reader of a fleet directory,
+whose :class:`FleetView` every ``repro fleet status`` / ``top`` /
+``report`` and ``--progress`` heartbeat renders — lives in
+:mod:`~repro.fleet.observer`.
 """
 
 from repro.fleet.coordinator import (
     FleetResult,
-    fleet_status,
     plan_fleet,
     run_fleet,
 )
@@ -27,6 +27,7 @@ from repro.fleet.observer import (
     FleetObserver,
     FleetView,
     fleet_metrics,
+    format_summary,
     format_top,
     render_fleet_report,
     write_fleet_report,
@@ -45,7 +46,7 @@ __all__ = [
     "FleetWorker",
     "Watchdog",
     "fleet_metrics",
-    "fleet_status",
+    "format_summary",
     "format_top",
     "is_fatal",
     "load_state",

@@ -36,11 +36,12 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import ConfigError, FleetError
 from repro.fleet import journal as jn
-from repro.fleet import lease as ln
+from repro.fleet.observer import FleetObserver, FleetView, fleet_metrics
 from repro.fleet.watchdog import Watchdog
 from repro.fleet.worker import FleetWorker
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["FleetResult", "fleet_status", "plan_fleet", "run_fleet"]
+__all__ = ["FleetResult", "plan_fleet", "run_fleet"]
 
 #: dotted spec of the default per-config runner (resolved lazily so this
 #: module never imports the experiment stack at import time)
@@ -63,6 +64,8 @@ class FleetResult:
     #: cells computed by workers during this run
     computed: int = 0
     state: Optional[jn.FleetState] = None
+    #: :func:`~repro.fleet.observer.fleet_metrics` of the closing read
+    metrics: Optional[MetricsRegistry] = None
 
 
 def _runner_spec(runner) -> str:
@@ -141,72 +144,6 @@ def plan_fleet(
     return jn.load_state(paths.journal)
 
 
-def fleet_status(fleet_dir: str | Path,
-                 clock: Callable[[], float] = time.time, *,
-                 state: Optional[jn.FleetState] = None) -> dict:
-    """A plain-dict snapshot of the fleet for status lines and CLIs.
-
-    ``state`` lets a caller that already follows the journal skip the
-    re-read; by default the journal is folded once from disk.
-    """
-    paths = jn.FleetPaths(Path(fleet_dir))
-    if state is None:
-        state = jn.load_state(paths.journal)
-    now = clock()
-    ttl = float(state.header.get("lease_ttl", 30.0)) if state.header else 30.0
-    leases = []
-    for path in paths.lease_files():
-        info = ln.read_lease(path) or {}
-        heartbeat = float(info.get("heartbeat") or 0.0)
-        leases.append({
-            "cell": info.get("cell", path.stem),
-            "worker": info.get("worker", "?"),
-            "age": now - heartbeat if heartbeat else float("inf"),
-            "stale": ln.stale(info, ttl, now),
-        })
-    workers = []
-    for path in paths.worker_files():
-        info = ln.read_lease(path) or {}
-        heartbeat = float(info.get("heartbeat") or 0.0)
-        # A skewed writer clock can put the heartbeat in our future;
-        # clamp rather than report a negative age.  One-shot snapshots
-        # can only judge by wall age — the FleetObserver refines this
-        # with the status file's monotonic ``uptime`` across refreshes.
-        age = max(0.0, now - heartbeat) if heartbeat else float("inf")
-        uptime = info.get("uptime")
-        workers.append({
-            "worker": info.get("worker", path.stem),
-            "pid": info.get("pid"),
-            "host": info.get("host", "?"),
-            "state": info.get("state", "?"),
-            "cell": info.get("cell", ""),
-            "done": int(info.get("done") or 0),
-            "failed": int(info.get("failed") or 0),
-            "age": age,
-            "uptime": float(uptime) if uptime is not None else None,
-            "beats": int(info.get("beats") or 0),
-            "live": age <= ttl and info.get("state") not in
-            ("drained", "done"),
-        })
-    counts = state.counts() if state.cells else \
-        {jn.DONE: 0, jn.FAILED: 0, jn.PENDING: 0}
-    backoff = sum(1 for c in state.open_cells() if c.not_before > now)
-    return {
-        "dir": str(fleet_dir),
-        "header": dict(state.header),
-        "cells": {
-            "total": len(state.cells),
-            "done": counts[jn.DONE],
-            "failed": counts[jn.FAILED],
-            "pending": counts[jn.PENDING],
-            "running": sum(1 for entry in leases if not entry["stale"]),
-            "backoff": backoff,
-        },
-        "workers": workers,
-        "leases": leases,
-    }
-
-
 def _spawn_worker(paths: jn.FleetPaths, cache, index: int) -> subprocess.Popen:
     """One ``repro fleet worker`` subprocess, inheriting our sys.path."""
     env = os.environ.copy()
@@ -251,7 +188,7 @@ def run_fleet(
     backoff_base: float = 0.5,
     lease_ttl: float = 30.0,
     poll: float = 0.2,
-    on_status: Optional[Callable[[dict], None]] = None,
+    on_status: Optional[Callable[[FleetView], None]] = None,
     status_interval: float = 1.0,
     clock: Callable[[], float] = time.time,
 ) -> FleetResult:
@@ -267,8 +204,8 @@ def run_fleet(
         in this process (no subprocess — sandbox- and test-friendly);
         None picks ``min(cpu_count, 4, n_open_cells)``.
     on_status:
-        Optional callback fed a :func:`fleet_status` snapshot roughly
-        every ``status_interval`` seconds while workers run.
+        Optional callback fed a :class:`~repro.fleet.observer.FleetView`
+        roughly every ``status_interval`` seconds while workers run.
     """
     if cache is None:
         raise ConfigError("the fleet fabric requires a result cache")
@@ -311,10 +248,9 @@ def run_fleet(
     # Folded from the journal, so the non-volatile document is a pure
     # function of what the fleet did — byte-identical across seeded
     # re-runs over fresh state.
+    result.metrics = fleet_metrics(journal.records)
     try:
-        from repro.fleet.observer import fleet_metrics
-
-        fleet_metrics(journal.records).write_files(paths.root)
+        result.metrics.write_files(paths.root)
     except OSError:
         pass  # metrics files are advisory; never fail a finished sweep
     return result
@@ -337,18 +273,18 @@ def _run_subprocess_fleet(paths, cache, n_workers, *, lease_ttl, max_attempts,
                     poll=poll, clock=clock).run()
         return
     follower = jn.JournalFollower(paths.journal)
+    observer = FleetObserver(paths.root, clock=clock) if on_status else None
     last_status = 0.0
     try:
         while True:
             if follower.finished():
                 break
             watchdog.scan(follower.state, by="coordinator")
-            if on_status is not None:
+            if observer is not None:
                 now = time.monotonic()
                 if now - last_status >= status_interval:
                     last_status = now
-                    on_status(fleet_status(paths.root, clock=clock,
-                                           state=follower.state))
+                    on_status(observer.refresh())
             if all(proc.poll() is not None for proc in procs):
                 # Every worker exited with cells still open (all crashed,
                 # or all were externally drained): rescue inline so no

@@ -2,25 +2,31 @@
 
 The fleet fabric already journals everything that happens (claims,
 completions, errors, reclaims) and every worker heartbeats a status
-file, but PR 7 left reading those artefacts to humans with ``grep``.
-:class:`FleetObserver` folds both into a :class:`FleetView` (it holds a
+file.  :class:`FleetObserver` is the one reader of a fleet directory
+for people: it folds the journal, the worker status files and the lease
+files into a :class:`FleetView` (it holds a
 :class:`~repro.fleet.journal.JournalFollower`, so a refresh parses only
-what was journaled since the last one):
+what was journaled since the last one), and ``repro fleet status``,
+``fleet top``, ``fleet report`` and the ``--progress`` heartbeat all
+render that view:
 
+* cell counts — a claimed cell is *running* until its lease is
+  :func:`~repro.fleet.lease.stale`, the watchdog's own test,
 * per-worker timelines (claim → done/error spans, the swimlanes of
   ``repro fleet report --html``),
 * per-cell timelines with straggler/outlier detection (runtime vs. the
   same-grid median),
-* reclaim churn per worker,
+* reclaim churn per worker, the lease list and the backoff count,
 * drain rate and an ETA for the open cells,
 * cumulative cache-hit share over time.
 
 Worker liveness is judged **skew-proof**: each status file carries an
 ``uptime`` value read from the *worker's own monotonic clock*, and the
 observer tracks whether that value advances between its own refreshes
-(timed on the *reader's* monotonic clock).  Wall-clock heartbeats are
-only a first-sample fallback, so NFS mtime granularity and cross-host
-clock skew cannot mark a live worker dead — or a dead worker live.
+(timed on the *reader's* monotonic clock).  Wall-clock heartbeat age is
+only the first-sight fallback: a one-shot reader cannot tell a skewed
+clock from a dead worker, so it errs toward stale, and NFS mtime
+granularity or cross-host clock skew cannot keep a dead worker live.
 
 :func:`fleet_metrics` distils a journal into a
 :class:`~repro.obs.metrics.MetricsRegistry`: deterministic counters
@@ -31,13 +37,13 @@ clock skew cannot mark a live worker dead — or a dead worker live.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
 from repro.fleet import journal as jn
+from repro.fleet import lease as ln
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -46,6 +52,7 @@ __all__ = [
     "FleetView",
     "WorkerView",
     "fleet_metrics",
+    "format_summary",
     "format_top",
     "render_fleet_report",
     "write_fleet_report",
@@ -102,6 +109,8 @@ class WorkerView:
     done: int = 0
     cached: int = 0
     errors: int = 0
+    #: terminal errors journaled by this worker
+    failed: int = 0
     #: leases reclaimed *from* this worker (crash churn)
     reclaimed: int = 0
     # status-file fields (None when the worker never wrote one)
@@ -118,7 +127,8 @@ class WorkerView:
 
 @dataclass
 class FleetView:
-    """Everything ``fleet top`` / ``fleet report`` renders."""
+    """Everything ``fleet status`` / ``top`` / ``report`` and the
+    heartbeat render."""
 
     dir: str
     header: dict
@@ -138,16 +148,27 @@ class FleetView:
     #: completions per second over the observed drain
     drain_rate: Optional[float] = None
     eta_seconds: Optional[float] = None
+    #: one ``{cell, worker, age, stale}`` dict per lease file
+    leases: list = field(default_factory=list)
+    #: open cells waiting out a retry backoff
+    backoff: int = 0
 
     @property
     def elapsed(self) -> float:
         return max(0.0, self.now - self.t0)
 
+    @property
+    def live(self) -> int:
+        """Workers judged live at this refresh."""
+        return sum(1 for w in self.workers.values() if w.live)
+
     def to_dict(self) -> dict:
-        """JSON-safe summary (CLI ``--json`` and tests)."""
+        """The ``fleet status --json`` document (non-finite floats are
+        the caller's to sanitise)."""
         return {
             "dir": self.dir,
-            "cells": dict(self.counts),
+            "header": dict(self.header),
+            "cells": {**self.counts, "backoff": self.backoff},
             "elapsed": self.elapsed,
             "median_elapsed": self.median_elapsed,
             "drain_rate": self.drain_rate,
@@ -158,12 +179,15 @@ class FleetView:
                  "ratio": ratio, "worker": c.worker}
                 for c, runtime, ratio in self.stragglers],
             "workers": [
-                {"worker": w.name, "state": w.state, "live": w.live,
+                {"worker": w.name, "pid": w.pid, "host": w.host,
+                 "state": w.state, "live": w.live, "age": w.wall_age,
                  "uptime": w.uptime, "beats": w.beats, "claims": w.claims,
                  "done": w.done, "cached": w.cached, "errors": w.errors,
-                 "reclaimed": w.reclaimed, "cell": w.cell}
+                 "failed": w.failed, "reclaimed": w.reclaimed,
+                 "cell": w.cell}
                 for w in sorted(self.workers.values(),
                                 key=lambda w: w.name)],
+            "leases": [dict(lease) for lease in self.leases],
         }
 
 
@@ -174,18 +198,6 @@ def _cell_desc(config: dict) -> str:
         if value is not None and value != "":
             parts.append(f"{name}={value}")
     return " ".join(parts)
-
-
-def _read_worker_statuses(paths: jn.FleetPaths) -> list[dict]:
-    out = []
-    for path in paths.worker_files():
-        try:
-            info = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if isinstance(info, dict):
-            out.append(info)
-    return out
 
 
 class FleetObserver:
@@ -219,26 +231,28 @@ class FleetObserver:
         #: worker → (last seen uptime, reader-monotonic time it advanced)
         self._uptime_seen: dict[str, tuple[float, float]] = {}
 
+    @property
+    def records(self) -> list[dict]:
+        """Every journal record folded so far (``fleet_metrics`` input)."""
+        return self._journal.records
+
     # -- liveness ----------------------------------------------------------
 
-    def _judge_live(self, info: dict, ttl: float, now_wall: float,
-                    now_mono: float) -> bool:
-        """Skew-proof staleness: has the worker's monotonic uptime
-        advanced within one TTL of *our* monotonic clock?"""
-        if info.get("state") in ("drained", "done"):
+    def _judge_live(self, w: WorkerView, ttl: float, now_mono: float) -> bool:
+        """The one liveness rule: has the worker's monotonic uptime
+        advanced within one TTL of *our* monotonic clock?  On first
+        sight the last advance is dated by the wall heartbeat's age."""
+        if w.state in ("drained", "done"):
             return False
-        name = str(info.get("worker", ""))
-        uptime = info.get("uptime")
-        if uptime is None:
-            # Pre-uptime status file: wall age is all there is.
-            heartbeat = float(info.get("heartbeat") or 0.0)
-            return bool(heartbeat) and abs(now_wall - heartbeat) <= ttl
-        uptime = float(uptime)
-        seen = self._uptime_seen.get(name)
-        if seen is None or uptime != seen[0]:
-            # First sight, or the uptime advanced: (re)start the window.
-            self._uptime_seen[name] = (uptime, now_mono)
-            return True
+        age = float("inf") if w.wall_age is None else w.wall_age
+        if w.uptime is None:
+            return age <= ttl  # pre-uptime status file: wall age is all
+        seen = self._uptime_seen.get(w.name)
+        if seen is None:
+            seen = (w.uptime, now_mono - age)
+        elif w.uptime != seen[0]:
+            seen = (w.uptime, now_mono)
+        self._uptime_seen[w.name] = seen
         return now_mono - seen[1] <= ttl
 
     # -- the fold ----------------------------------------------------------
@@ -305,6 +319,7 @@ class FleetObserver:
                 cell.errors += 1
                 w = worker(name)
                 w.errors += 1
+                w.failed += 1 if r.get("terminal") else 0
                 start = open_claims.pop((name, key), t)
                 w.spans.append((start, t, _SLOT_ERROR, (
                     f"{cell.desc or key[:12]} — error: "
@@ -324,6 +339,20 @@ class FleetObserver:
                 f"{cell.desc or key[:12]} — running "
                 f"for {end - start:.2f}s")))
 
+        for path in self.paths.lease_files():
+            info = ln.read_lease(path) or {}
+            heartbeat = float(info.get("heartbeat") or 0.0)
+            view.leases.append({
+                "cell": info.get("cell", path.stem),
+                "worker": info.get("worker", "?"),
+                "age": now_wall - heartbeat if heartbeat else float("inf"),
+                "stale": ln.stale(info, ttl, now_wall),
+            })
+        # Running: claimed or leased, and the lease is not one the
+        # watchdog may reclaim (a crashed worker's claim stops counting).
+        stale = {lease["cell"] for lease in view.leases if lease["stale"]}
+        held = {k for _, k in open_claims}
+        held.update(lease["cell"] for lease in view.leases)
         view.cells = sorted(cells.values(), key=lambda c: c.index)
         counts = state.counts() if state.cells else \
             {jn.DONE: 0, jn.FAILED: 0, jn.PENDING: 0}
@@ -332,12 +361,17 @@ class FleetObserver:
             "done": counts[jn.DONE],
             "failed": counts[jn.FAILED],
             "pending": counts[jn.PENDING],
-            "running": sum(1 for (n, k) in open_claims
-                           if cells.get(k) and cells[k].status == jn.PENDING),
+            "running": sum(1 for k in held - stale
+                           if k in cells and cells[k].status == jn.PENDING),
         }
+        view.backoff = sum(1 for c in state.open_cells()
+                           if c.not_before > now_wall)
 
         # Worker status files: merge heartbeat facts + liveness verdicts.
-        for info in _read_worker_statuses(self.paths):
+        for path in self.paths.worker_files():
+            info = ln.read_lease(path)
+            if info is None:
+                continue
             w = worker(str(info.get("worker", "?")))
             w.state = str(info.get("state", ""))
             w.pid = info.get("pid")
@@ -348,7 +382,7 @@ class FleetObserver:
             w.beats = int(info.get("beats") or 0)
             heartbeat = float(info.get("heartbeat") or 0.0)
             w.wall_age = max(0.0, now_wall - heartbeat) if heartbeat else None
-            w.live = self._judge_live(info, ttl, now_wall, now_mono)
+            w.live = self._judge_live(w, ttl, now_mono)
 
         self._fold_rates(view, completions, now_wall - t0)
         self._fold_stragglers(view, now_wall - t0)
@@ -456,7 +490,7 @@ def fleet_metrics(records: list[dict],
     return reg
 
 
-# -- terminal rendering (repro fleet top) ----------------------------------
+# -- terminal rendering (repro fleet status / top, the heartbeat) -----------
 
 def _fmt_eta(seconds: Optional[float]) -> str:
     if seconds is None:
@@ -468,31 +502,50 @@ def _fmt_eta(seconds: Optional[float]) -> str:
     return f"{seconds:.0f}s"
 
 
+def format_summary(view: FleetView, *, label: str = "fleet") -> str:
+    """The one summary line: the ``--progress`` heartbeat, and the head
+    of every ``fleet status`` / ``fleet top`` frame."""
+    c = view.counts
+    line = f"[{label}] {c.get('done', 0)}/{c.get('total', 0)} done"
+    extras = [f"{n} {what}" for n, what in (
+        (c.get("failed", 0), "failed"), (c.get("running", 0), "running"),
+        (view.backoff, "backing off")) if n]
+    if extras:
+        line += f" [{', '.join(extras)}]"
+    line += f" — {view.live}/{len(view.workers)} worker(s) live"
+    if view.drain_rate:
+        line += f" | drain {view.drain_rate:.2f}/s"
+    if view.eta_seconds is not None:
+        line += f" | eta {_fmt_eta(view.eta_seconds)}"
+    return line
+
+
 def format_top(view: FleetView) -> str:
-    """The ``repro fleet top`` screen for one refresh."""
+    """One ``repro fleet top`` frame (``fleet status`` prints one)."""
     c = view.counts
     lines = [
         f"fleet {view.dir}",
-        (f"cells: {c.get('done', 0)}/{c.get('total', 0)} done, "
-         f"{c.get('failed', 0)} failed, {c.get('pending', 0)} pending "
-         f"({c.get('running', 0)} running) | elapsed {view.elapsed:.1f}s"
-         f" | drain {view.drain_rate:.2f}/s | eta {_fmt_eta(view.eta_seconds)}"
-         if view.drain_rate else
-         f"cells: {c.get('done', 0)}/{c.get('total', 0)} done, "
-         f"{c.get('failed', 0)} failed, {c.get('pending', 0)} pending "
-         f"({c.get('running', 0)} running) | elapsed {view.elapsed:.1f}s"),
+        format_summary(view),
+        f"cells: {c.get('done', 0)}/{c.get('total', 0)} done, "
+        f"{c.get('failed', 0)} failed, {c.get('pending', 0)} pending "
+        f"({c.get('running', 0)} running) | elapsed {view.elapsed:.1f}s",
     ]
     if view.workers:
         lines.append("workers:")
         for w in sorted(view.workers.values(), key=lambda w: w.name):
             mark = "live" if w.live else "stale"
             up = f" up {w.uptime:.1f}s" if w.uptime is not None else ""
+            beat = (f" beat {w.wall_age:.1f}s ago"
+                    if w.wall_age is not None else "")
             cell = f" cell {w.cell[:12]}…" if w.cell else ""
             extra = f" reclaimed×{w.reclaimed}" if w.reclaimed else ""
             lines.append(
-                f"  {w.name:<24} {w.state or '?':<9} [{mark}]{up}"
+                f"  {w.name:<24} {w.state or '?':<9} [{mark}]{up}{beat}"
                 f" done={w.done} cached={w.cached} err={w.errors}"
                 f"{extra}{cell}")
+    stale = sum(1 for lease in view.leases if lease["stale"])
+    if stale:
+        lines.append(f"{stale} stale lease(s) awaiting reclaim")
     if view.median_elapsed is not None:
         lines.append(f"median cell runtime: {view.median_elapsed:.2f}s")
     if view.stragglers:
@@ -546,7 +599,9 @@ def render_fleet_report(view: FleetView, *, title: str = "") -> str:
         ["done", c.get("done", 0)],
         ["failed", c.get("failed", 0)],
         ["pending", c.get("pending", 0)],
-        ["workers", len(view.workers)],
+        ["running", c.get("running", 0)],
+        ["backing off", view.backoff],
+        ["workers live", f"{view.live}/{len(view.workers)}"],
         ["reclaims", view.reclaim_total],
         ["elapsed (s)", round(view.elapsed, 2)],
         ["median cell runtime (s)",

@@ -16,7 +16,7 @@ and makes whole runs self-describing:
 * :func:`build_manifest` / :func:`write_manifest` — ``manifest.json``
   beside every export, recording exactly what produced it;
 * :class:`ProgressReporter` — heartbeat + ETA for multi-run sweeps
-  (plus :func:`format_fleet_heartbeat` for multi-worker fleet sweeps);
+  (fleet sweeps heartbeat :func:`repro.fleet.format_summary`);
 * :func:`summarize_trace` — aggregate a JSONL trace back into tables;
 * :class:`FlightRecorder` / :class:`RecordedRun` — bounded in-sim
   time-series sampling with a q_th decision audit (``repro run
@@ -51,8 +51,7 @@ _EXPORTS = {
                 "Gauge", "Histogram", "MetricsRegistry", "get_registry",
                 "parse_prom"),
     "profiler": ("EngineProfiler",),
-    "progress": ("ProgressReporter", "format_fleet_heartbeat",
-                 "format_fleet_workers"),
+    "progress": ("ProgressReporter",),
     "recorder": ("FlightRecorder", "RecordedRun"),
     "report": ("render_html_report", "write_html_report"),
     "spans": ("SpanBuffer", "format_explain", "load_spans"),
@@ -97,8 +96,6 @@ __all__ = [
     "git_sha",
     "write_manifest",
     "ProgressReporter",
-    "format_fleet_heartbeat",
-    "format_fleet_workers",
     "TraceSummary",
     "format_trace_summary",
     "summarize_trace",

@@ -16,77 +16,22 @@ otherwise make the estimate absurdly optimistic for the simulations
 still to run.
 
 Fleet sweeps (:mod:`repro.fleet`) report differently: progress there is
-a property of the shared journal, not of any one process, and several
-workers advance it at once.  :func:`format_fleet_heartbeat` renders a
-:func:`~repro.fleet.fleet_status` snapshot — per-state cell counts plus
-per-worker liveness — into the one-line heartbeat the coordinator
-prints while it babysits the fleet.
+a property of the shared journal, not of any one process, so their
+heartbeat is :func:`repro.fleet.format_summary` of a
+:class:`~repro.fleet.FleetView`.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Any, Callable, Optional, TextIO
+from typing import Any, Optional, TextIO
 
 from repro.errors import ConfigError
 
-__all__ = ["ProgressReporter", "format_fleet_heartbeat",
-           "fleet_heartbeat_printer", "format_fleet_workers"]
+__all__ = ["ProgressReporter"]
 
 _KINDS = ("computed", "cached", "failed")
-
-
-def format_fleet_heartbeat(status: dict, *, label: str = "fleet") -> str:
-    """One heartbeat line for a :func:`~repro.fleet.fleet_status` snapshot.
-
-    Shows terminal progress (done/total with failures), what is in
-    flight (running cells, cells waiting out a retry backoff), and how
-    many workers are alive — a worker is *live* while its status-file
-    heartbeat is younger than the lease TTL, so a SIGKILLed worker drops
-    out of the count within one TTL.
-    """
-    cells = status.get("cells", {})
-    workers = status.get("workers", [])
-    total = cells.get("total", 0)
-    live = sum(1 for w in workers if w.get("live"))
-    line = (f"[{label}] {cells.get('done', 0)}/{total} done")
-    extras = []
-    if cells.get("failed"):
-        extras.append(f"{cells['failed']} failed")
-    if cells.get("running"):
-        extras.append(f"{cells['running']} running")
-    if cells.get("backoff"):
-        extras.append(f"{cells['backoff']} backing off")
-    if extras:
-        line += f" [{', '.join(extras)}]"
-    line += f" — {live}/{len(workers)} worker(s) live"
-    return line
-
-
-def fleet_heartbeat_printer(label: str = "fleet") -> Callable[[dict], None]:
-    """An ``on_status`` callback for :func:`~repro.fleet.run_fleet`:
-    prints each snapshot's heartbeat line to stderr."""
-    def on_status(status: dict) -> None:
-        print(format_fleet_heartbeat(status, label=label),
-              file=sys.stderr, flush=True)
-    return on_status
-
-
-def format_fleet_workers(status: dict) -> list[str]:
-    """Per-worker liveness lines for ``repro fleet workers``."""
-    lines = []
-    for w in status.get("workers", []):
-        mark = "live" if w.get("live") else "gone"
-        age = w.get("age", float("inf"))
-        age_s = f"{age:.1f}s ago" if age != float("inf") else "never"
-        cell = w.get("cell") or "-"
-        lines.append(
-            f"{w.get('worker', '?')}: {mark} ({w.get('state', '?')},"
-            f" heartbeat {age_s}) pid={w.get('pid')}"
-            f" done={w.get('done', 0)} failed={w.get('failed', 0)}"
-            f" cell={cell}")
-    return lines
 
 
 class ProgressReporter:

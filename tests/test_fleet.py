@@ -14,9 +14,11 @@ from repro.cache import ResultCache
 from repro.errors import ConfigError, FleetError
 from repro.experiments.runner import TaskError, TaskFailure, run_many
 from repro.fleet import (
+    FleetObserver,
     FleetPaths,
     Watchdog,
-    fleet_status,
+    format_summary,
+    format_top,
     is_fatal,
     plan_fleet,
     run_fleet,
@@ -24,7 +26,6 @@ from repro.fleet import (
 from repro.fleet import journal as jn
 from repro.fleet import lease as ln
 from repro.fleet.watchdog import backoff_delay
-from repro.obs.progress import format_fleet_heartbeat, format_fleet_workers
 
 FP = "0" * 64
 
@@ -339,15 +340,16 @@ def test_fleet_status_and_heartbeat(tmp_path):
     cache = _cache(tmp_path)
     run_fleet(cells, fleet_dir=tmp_path / "fleet", cache=cache,
               workers=0, runner=compute, lease_ttl=5.0)
-    status = fleet_status(tmp_path / "fleet")
-    assert status["cells"]["total"] == 4
-    assert status["cells"]["done"] == 3
-    assert status["cells"]["failed"] == 1
-    assert status["cells"]["pending"] == 0
-    line = format_fleet_heartbeat(status, label="fleet")
+    view = FleetObserver(tmp_path / "fleet").refresh()
+    assert view.counts["total"] == 4
+    assert view.counts["done"] == 3
+    assert view.counts["failed"] == 1
+    assert view.counts["pending"] == 0
+    line = format_summary(view, label="fleet")
     assert "3/4 done" in line and "1 failed" in line
     # the inline worker registered and finished
-    workers = format_fleet_workers(status)
+    workers = [row for row in format_top(view).splitlines()
+               if row.startswith("  ")]
     assert len(workers) == 1
     assert "done=3" in workers[0]
 

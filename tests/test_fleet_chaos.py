@@ -9,6 +9,7 @@ test wall time) low.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -162,3 +163,18 @@ def test_cli_fleet_csv_matches_serial_sweep(tmp_path, capsys):
                  "--cache-dir", str(tmp_path / "cache2")]) == 0
     capsys.readouterr()
     assert fleet_csv.read_bytes() == sweep_csv.read_bytes()
+
+
+def test_progress_heartbeat_renders_the_fleet_view(tmp_path, capsys):
+    """``run_many(progress=True, fleet_dir=)`` heartbeats the summary
+    line of the coordinator's :class:`~repro.fleet.FleetView`."""
+    cells = [Cell(tag=f"c{i}", sleep=0.2) for i in range(3)]
+    results = run_many(cells, fleet_dir=tmp_path / "fleet",
+                       cache=_cache(tmp_path), processes=1, runner=compute,
+                       progress=True, label="grid")
+    assert [r["tag"] for r in results] == [c.tag for c in cells]
+    beats = capsys.readouterr().err.splitlines()
+    assert beats
+    for line in beats:
+        assert re.match(r"\[grid\] [0-3]/3 done.* — [01]/[01] worker\(s\) live",
+                        line), line

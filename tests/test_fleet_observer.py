@@ -7,6 +7,8 @@ guarantee end to end.
 """
 
 import json
+import re
+import time
 
 from fleet_helpers import Cell, compute
 from repro.fleet import FleetPaths, run_fleet
@@ -14,11 +16,13 @@ from repro.fleet import journal as jn
 from repro.fleet.observer import (
     FleetObserver,
     fleet_metrics,
+    format_summary,
     format_top,
     render_fleet_report,
     write_fleet_report,
 )
 from repro.cache import ResultCache
+from repro.cli import main
 from repro.obs.metrics import METRICS_JSON_NAME, METRICS_PROM_NAME, parse_prom
 
 FP = "0" * 64
@@ -52,6 +56,12 @@ def _status(paths, name, **kw):
                "cell": "", "heartbeat": T0, "uptime": 1.0, "beats": 1}
     payload.update(kw)
     (paths.workers / f"{name}.json").write_text(json.dumps(payload))
+
+
+def _lease(paths, cell, worker, heartbeat):
+    (paths.leases / f"{cell}.json").write_text(json.dumps(
+        {"cell": cell, "worker": worker, "pid": 1, "host": "h",
+         "acquired": heartbeat, "heartbeat": heartbeat}))
 
 
 def _observer(paths, *, now=T0 + 100.0, mono=500.0):
@@ -202,7 +212,9 @@ def test_liveness_survives_wall_clock_skew(tmp_path):
     skewed = T0 - 7200.0  # heartbeat "two hours in the past"
     _status(paths, "w1", heartbeat=skewed, uptime=10.0)
     obs = _observer(paths, now=T0 + 100, mono=500.0)
-    assert obs.refresh().workers["w1"].live  # first sight starts the window
+    # first sight judges by wall age: a one-shot reader cannot tell a
+    # skewed clock from a dead worker, so it errs toward stale
+    assert not obs.refresh().workers["w1"].live
 
     # uptime advances between refreshes → live, regardless of wall skew
     _status(paths, "w1", heartbeat=skewed, uptime=14.0)
@@ -231,6 +243,45 @@ def test_drained_workers_are_never_live(tmp_path):
     paths = _plan(tmp_path, ["aaa"])
     _status(paths, "w1", state="drained", uptime=3.0)
     assert not _observer(paths).refresh().workers["w1"].live
+
+
+def test_frozen_status_stays_stale_across_refreshes(tmp_path):
+    """First sight dates the last uptime advance by the wall heartbeat,
+    so a frozen worker does not turn live on the second refresh."""
+    paths = _plan(tmp_path, ["aaa"], lease_ttl=5.0)
+    _status(paths, "w1", heartbeat=T0 + 90, uptime=10.0)  # 10 s old
+    obs = _observer(paths, now=T0 + 100, mono=500.0)
+    assert not obs.refresh().workers["w1"].live
+    obs.clock, obs.mono = (lambda: T0 + 101), (lambda: 501.0)
+    assert not obs.refresh().workers["w1"].live
+    _status(paths, "w1", heartbeat=T0 + 90, uptime=11.0)  # it moved
+    assert obs.refresh().workers["w1"].live
+
+
+# -- running: the watchdog's lease test -------------------------------------
+
+def test_claim_behind_a_stale_lease_is_not_running(tmp_path):
+    """After a crash the claim stays open but its lease goes stale: the
+    cell is no longer running, in the counts or on screen."""
+    paths = _plan(tmp_path, ["aaa", "bbb"], lease_ttl=5.0)
+    _append(paths,
+            {"kind": "claim", "cell": "aaa", "worker": "w1", "t": T0 + 1},
+            {"kind": "claim", "cell": "bbb", "worker": "w2", "t": T0 + 2})
+    _lease(paths, "aaa", "w1", heartbeat=T0 + 1)    # crashed long ago
+    _lease(paths, "bbb", "w2", heartbeat=T0 + 99)   # renewed 1 s ago
+    view = _observer(paths, now=T0 + 100).refresh()
+    assert view.counts["running"] == 1
+    assert [(lease["cell"], lease["stale"]) for lease in view.leases] == [
+        ("aaa", True), ("bbb", False)]
+    text = format_top(view)
+    assert "(1 running)" in text
+    assert "1 stale lease(s) awaiting reclaim" in text
+
+    (paths.leases / "bbb.json").unlink()
+    _lease(paths, "bbb", "w2", heartbeat=T0 + 1)    # w2 died too
+    view = _observer(paths, now=T0 + 100).refresh()
+    assert view.counts["running"] == 0
+    assert "[fleet] 0/2 done — " in format_summary(view)
 
 
 # -- dashboards -------------------------------------------------------------
@@ -277,7 +328,7 @@ def test_report_html_on_empty_fleet(tmp_path):
 def test_format_top_summary_lines(tmp_path):
     _, view = _busy_view(tmp_path)
     text = format_top(view)
-    assert "cells: 3/3 done, 0 failed, 0 pending" in text
+    assert "[fleet] 3/3 done" in text
     assert "w1" in text and "cache-hit share: 33%" in text
 
 
@@ -340,3 +391,133 @@ def test_fleet_run_writes_byte_identical_metrics(tmp_path):
     samples = parse_prom((dir_a / METRICS_PROM_NAME).read_text())
     assert samples["repro_fleet_claims_total"][()] == 4
     assert samples["repro_fleet_done_total"][(("from_cache", "false"),)] == 4
+
+
+# -- one reader, one verdict ------------------------------------------------
+
+def _cli(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def _html_rows(html: str, panel: str) -> list[list[str]]:
+    section = re.search(f'<section id="{panel}">(.*?)</section>', html).group(1)
+    return [re.findall(r"<td>(.*?)</td>", row)
+            for row in re.findall(r"<tr>(.*?)</tr>", section)][1:]
+
+
+def _report(capsys, tmp_path, fleet_dir) -> tuple[str, dict, dict]:
+    """(stdout, overview facts, worker → live column) of ``fleet report``."""
+    html_path = tmp_path / "report.html"
+    out = _cli(capsys, "fleet", "report", fleet_dir, "--html", str(html_path))
+    html = html_path.read_text()
+    overview = dict(_html_rows(html, "panel-overview"))
+    live = {row[0]: row[2] for row in _html_rows(html, "panel-workers")}
+    return out, overview, live
+
+
+def test_first_sight_frozen_worker_is_stale_in_every_reader(tmp_path, capsys):
+    """A status file that froze (``state: running``, heartbeat older than
+    the TTL) reads not-live in ``fleet status`` text and ``--json``, in
+    one ``fleet top`` frame and in ``fleet report``'s workers table."""
+    paths = _plan(tmp_path, ["aaa"], lease_ttl=5.0)
+    _status(paths, "w1", heartbeat=time.time() - 3600.0)
+    fleet_dir = str(paths.root)
+
+    for argv in (("fleet", "status", "--dir", fleet_dir),
+                 ("fleet", "top", "--dir", fleet_dir,
+                  "--iterations", "1", "--no-clear")):
+        text = _cli(capsys, *argv)
+        assert "0/1 worker(s) live" in text
+        assert "[stale]" in text and "[live]" not in text
+    doc = json.loads(_cli(capsys, "fleet", "status", "--dir", fleet_dir,
+                          "--json"))
+    assert [w["live"] for w in doc["workers"]] == [False]
+    out, overview, live = _report(capsys, tmp_path, fleet_dir)
+    assert "0/1 worker(s) live" in out
+    assert overview["workers live"] == "0/1"
+    assert live == {"w1": "no"}
+
+
+def test_every_reader_agrees_on_one_directory(tmp_path, capsys):
+    """Counts and liveness are identical in the heartbeat line, ``fleet
+    status`` text and ``--json``, a ``fleet top`` frame and the
+    ``fleet report`` overview and workers tables."""
+    now = time.time()
+    paths = _plan(tmp_path, ["done", "fail", "hit", "back", "crash"],
+                  lease_ttl=30.0)
+    _append(
+        paths,
+        {"kind": "claim", "cell": "done", "worker": "alive", "t": now - 60},
+        {"kind": "done", "cell": "done", "worker": "alive", "t": now - 50,
+         "elapsed": 10.0},
+        {"kind": "claim", "cell": "fail", "worker": "dead", "t": now - 45},
+        {"kind": "error", "cell": "fail", "worker": "dead", "t": now - 44,
+         "error": "ConfigError: bad", "attempt": 1, "fatal": True,
+         "terminal": True, "not_before": now - 44},
+        {"kind": "claim", "cell": "hit", "worker": "alive", "t": now - 41},
+        {"kind": "done", "cell": "hit", "worker": "alive", "t": now - 40,
+         "from_cache": True},
+        {"kind": "claim", "cell": "back", "worker": "gone", "t": now - 30},
+        {"kind": "error", "cell": "back", "worker": "gone", "t": now - 29,
+         "error": "ValueError: flaky", "attempt": 1, "fatal": False,
+         "not_before": now + 3600},
+        {"kind": "drain", "worker": "gone", "signal": "SIGTERM",
+         "t": now - 28},
+        {"kind": "claim", "cell": "crash", "worker": "dead", "t": now - 20})
+    _lease(paths, "crash", "dead", heartbeat=now - 3600)
+    _status(paths, "alive", heartbeat=now, uptime=60.0)
+    _status(paths, "dead", heartbeat=now - 3600, uptime=30.0)
+    _status(paths, "gone", state="drained", heartbeat=now, uptime=40.0)
+    fleet_dir = str(paths.root)
+    expected_live = {"alive": True, "dead": False, "gone": False}
+
+    heartbeat = format_summary(FleetObserver(fleet_dir).refresh())
+    assert heartbeat.startswith(
+        "[fleet] 2/5 done [1 failed, 1 backing off] — 1/3 worker(s) live")
+    status = _cli(capsys, "fleet", "status", "--dir", fleet_dir)
+    top = _cli(capsys, "fleet", "top", "--dir", fleet_dir,
+               "--iterations", "1", "--no-clear")
+    for frame in (status, top):
+        lines = frame.splitlines()
+        assert lines[1] == heartbeat
+        assert "cells: 2/5 done, 1 failed, 2 pending (0 running)" in lines[2]
+        assert "1 stale lease(s) awaiting reclaim" in lines
+        marks = {row.split()[0]: "[live]" in row for row in lines
+                 if row.startswith("  ") and row.split()[0] in expected_live}
+        assert marks == expected_live
+
+    doc = json.loads(_cli(capsys, "fleet", "status", "--dir", fleet_dir,
+                          "--json"))
+    assert doc["cells"] == {"total": 5, "done": 2, "failed": 1,
+                            "pending": 2, "running": 0, "backoff": 1}
+    assert {w["worker"]: w["live"] for w in doc["workers"]} == expected_live
+    assert [(lease["cell"], lease["stale"]) for lease in doc["leases"]] == [
+        ("crash", True)]
+    # every key the pre-view status document carried, same meaning
+    assert {"dir", "header", "cells", "workers", "leases"} <= set(doc)
+    for w in doc["workers"]:
+        assert {"worker", "pid", "host", "state", "cell", "done", "failed",
+                "age", "uptime", "beats", "live"} <= set(w)
+    assert {w["worker"]: (w["done"], w["failed"]) for w in doc["workers"]} \
+        == {"alive": (2, 0), "dead": (0, 1), "gone": (0, 0)}
+    assert set(doc["leases"][0]) == {"cell", "worker", "age", "stale"}
+
+    out, overview, live = _report(capsys, tmp_path, fleet_dir)
+    assert out.splitlines()[0] == heartbeat
+    assert {k: overview[k] for k in (
+        "cells", "done", "failed", "pending", "running", "backing off",
+        "workers live")} == {
+        "cells": "5", "done": "2", "failed": "1", "pending": "2",
+        "running": "0", "backing off": "1", "workers live": "1/3"}
+    assert live == {name: "yes" if v else "no"
+                    for name, v in expected_live.items()}
+
+
+def test_fleet_result_carries_the_metrics_it_wrote(tmp_path):
+    cells = [Cell(tag=f"c{i}") for i in range(3)]
+    result = run_fleet(cells, fleet_dir=tmp_path / "fleet",
+                       cache=ResultCache(tmp_path / "cache", fingerprint=FP),
+                       workers=0, runner=compute)
+    assert result.metrics.canonical_json() == (
+        tmp_path / "fleet" / METRICS_JSON_NAME).read_text()

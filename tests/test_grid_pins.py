@@ -231,7 +231,6 @@ OPTION_SURFACE = {'repro': ['--help', '--version', '-h'],
                      '--no-clear', '-h'],
  'repro fleet worker': ['--cache-dir', '--dir', '--help', '--poll',
                         '--worker-id', '-h'],
- 'repro fleet workers': ['--dir', '--help', '-h'],
  'repro model': ['--deadline', '--help', '--long-flows', '--paths', '--rate',
                  '--short-flows', '--short-size', '-h'],
  'repro report': ['--help', '--html', '--spans', '-h', 'path'],
