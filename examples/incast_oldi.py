@@ -20,8 +20,8 @@ import numpy as np
 
 from repro.experiments.report import format_table
 from repro.lb import attach_scheme
-from repro.metrics.monitor import QueueMonitor
 from repro.net.topology import build_two_leaf_fabric
+from repro.obs import FlightRecorder
 from repro.transport.flow import FlowRegistry
 from repro.units import KB, MB
 from repro.workload.generator import StaticWorkload
@@ -58,22 +58,23 @@ def run_scheme(args, scheme: str) -> dict:
         response_size=KB(args.response_kb), request_interval=0.008,
         deadline=0.010, flow_id_base=10_000)
     incast.install()
-    monitor = QueueMonitor(net.sim, net.uplink_ports(net.leaves[0]),
-                           period=0.001)
+    recorder = FlightRecorder(cadence=0.001).attach(
+        net, ports=net.uplink_ports(net.leaves[0]))
     net.sim.run(until=2.0)
     rct = request_completion_times(incast, registry)
     finite = rct[np.isfinite(rct)]
     misses = sum(
         1 for s in registry.all_stats()
         if s.missed_deadline)
+    qdepth = recorder.to_arrays()["qdepth"]
+    spread = qdepth.max(axis=1) - qdepth.min(axis=1)
     return {
         "scheme": scheme,
         "rct_mean_ms": float(np.mean(finite)) * 1e3 if finite.size else float("nan"),
         "rct_p99_ms": float(np.percentile(finite, 99)) * 1e3 if finite.size else float("nan"),
         "completed": int(finite.size),
         "missed_deadlines": misses,
-        "uplink_imbalance": float(monitor.imbalance().mean())
-        if monitor.n_samples else 0.0,
+        "uplink_imbalance": float(spread.mean()) if spread.size else 0.0,
     }
 
 

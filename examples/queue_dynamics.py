@@ -21,8 +21,8 @@ Usage::
 import argparse
 
 from repro.lb import attach_scheme
-from repro.metrics.monitor import QueueMonitor
 from repro.net.topology import build_two_leaf_fabric
+from repro.obs import FlightRecorder
 from repro.transport.flow import FlowRegistry
 from repro.units import KB, MB, microseconds
 from repro.viz import sparkline
@@ -52,8 +52,8 @@ def run_one(args, label: str, scheme: str, params: dict) -> None:
         n_paths=args.paths, hosts_per_leaf=args.shorts + args.longs,
         seed=args.seed)
     attach_scheme(net, scheme, **params)
-    monitor = QueueMonitor(net.sim, net.uplink_ports(net.leaves[0]),
-                           period=100e-6)
+    recorder = FlightRecorder(cadence=100e-6).attach(
+        net, ports=net.uplink_ports(net.leaves[0]))
     registry = FlowRegistry()
     StaticWorkload(
         net, registry, n_short=args.shorts, n_long=args.longs,
@@ -62,12 +62,12 @@ def run_one(args, label: str, scheme: str, params: dict) -> None:
         distinct_hosts=True,
     ).install()
     net.sim.run(until=args.window_ms * 1e-3)
-    monitor.stop()
+    recorder.stop()
 
-    matrix = monitor.matrix()
+    matrix = recorder.to_arrays()["qdepth"]
     print(f"\n== {label} ({scheme}) — uplink queue occupancy over "
           f"{args.window_ms:.0f} ms (peak {int(matrix.max())} pkts) ==")
-    for i, port in enumerate(monitor.ports):
+    for i, port in enumerate(recorder.ports):
         series = matrix[:, i]
         print(f"  {port.name:16s} {sparkline(series, width=64)} "
               f"max={int(series.max()):3d} mean={series.mean():5.1f}")

@@ -212,12 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--record", metavar="FILE",
                      help="flight-record the run to FILE (.npz; see"
                      " `repro report` / `repro diff`)")
-    run.add_argument("--record-cadence", type=float, default=500e-6,
-                     metavar="S", help="initial sample period in simulated"
-                     " seconds (default 500 µs)")
-    run.add_argument("--record-max-samples", type=int, default=4096,
-                     metavar="N", help="row cap before the recorder"
-                     " decimates 2x and doubles its cadence (default 4096)")
     run.add_argument("--faults", metavar="SPEC", default="",
                      help="dynamic fault schedule, e.g."
                      " '0.1:link_down:leaf0-spine1;0.3:link_up:leaf0-spine1'")
@@ -472,18 +466,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "--telemetry (they need a live run)", file=sys.stderr)
         cache = None
 
-    tracer = counters = None
+    tracer = None
     if args.trace:
-        from repro.obs import CountingTracer, JsonlTracer, TeeTracer
+        from repro.obs import JsonlTracer
 
-        counters = CountingTracer()
-        tracer = TeeTracer(JsonlTracer(args.trace), counters)
+        tracer = JsonlTracer(args.trace)
     recorder = None
     if args.record:
         from repro.obs import FlightRecorder
 
-        recorder = FlightRecorder(cadence=args.record_cadence,
-                                  max_samples=args.record_max_samples)
+        recorder = FlightRecorder()
     metrics = cache.get(config) if cache is not None else None
     if metrics is not None:
         print("result cache: hit", file=sys.stderr)
@@ -498,7 +490,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cache.put(config, metrics)
     print(metrics.summary())
     if tracer is not None:
-        print(f"wrote {args.trace} ({counters.total()} trace records)")
+        print(f"wrote {args.trace} ({tracer.records_written} trace records)")
     if recorder is not None:
         saved = recorder.save(args.record)
         print(f"wrote {saved} ({recorder.n_samples} samples, "
@@ -515,7 +507,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         extra = ({"cache": cache.session_summary()}
                  if cache is not None else None)
-        manifest = build_manifest(config, metrics, counters=counters,
+        manifest = build_manifest(config, metrics, counters=tracer,
                                   extra=extra)
     if args.csv:
         print("wrote", write_metrics_csv(

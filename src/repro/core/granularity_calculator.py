@@ -26,7 +26,13 @@ from repro.core.config import TlbConfig
 from repro.errors import ConfigError, ModelError
 from repro.units import DEFAULT_HEADER
 
-__all__ = ["GranularityCalculator", "QthDecision"]
+__all__ = ["DECISION_FIELDS", "GranularityCalculator", "QthDecision"]
+
+#: a decision's fields in record order: the columns of the ``qth`` trace
+#: kind after ``node``, of the span file's decision rows and of the
+#: flight recorder's audit
+DECISION_FIELDS = ("qth", "raw", "regime", "m_short", "m_long", "x_packets",
+                   "deadline")
 
 
 @dataclass(frozen=True)
@@ -48,15 +54,7 @@ class QthDecision:
         report it as ``inf``, which consumers should treat as "pinned to
         the buffer", not as a numeric threshold.
         """
-        return {
-            "qth": self.qth,
-            "raw": self.raw,
-            "regime": self.regime,
-            "m_short": self.m_short,
-            "m_long": self.m_long,
-            "x_packets": self.x_packets,
-            "deadline": self.deadline,
-        }
+        return {name: getattr(self, name) for name in DECISION_FIELDS}
 
 
 class GranularityCalculator:

@@ -63,10 +63,6 @@ class TlbBalancer(LoadBalancer):
         self.calculator = GranularityCalculator(cfg, n_paths, link_rate, buffer_packets)
         self.qth = cfg.fixed_qth if cfg.fixed_qth is not None else cfg.min_qth
         self._timer: Optional[PeriodicTimer] = None
-        #: audit hooks invoked as ``fn(now, balancer, decision)`` after
-        #: every granularity update (the flight recorder registers here);
-        #: empty by default so the tick pays nothing when nobody listens
-        self.decision_listeners: list = []
         self.long_reroutes = 0
         #: regime of the latest q_th decision ("fixed" until the first
         #: tick, or when fixed_qth pins the threshold) — stamped onto
@@ -112,9 +108,12 @@ class TlbBalancer(LoadBalancer):
         )
         self.qth = decision.qth
         self.last_regime = decision.regime
-        if self.decision_listeners:
-            for fn in self.decision_listeners:
-                fn(now, self, decision)
+        # The decision audit (flight recorder, spans) rides the trace
+        # stream; the switch's sink is absent on doubles.
+        tracer = getattr(self.switch, "tracer", None)
+        if tracer is not None and tracer.enabled:
+            tracer.emit(now, "qth", node=self.switch.name, **decision.as_dict(),
+                        load_bps=self.load.rate_bps)
 
     # -- the data path -------------------------------------------------------
 

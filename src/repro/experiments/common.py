@@ -214,15 +214,12 @@ class ScenarioResult:
         return all(s.completed is not None for s in self.registry.all_stats())
 
 
-def _build_network(config: ScenarioConfig, tracer=None):
-    if tracer is None:
-        tracer = RecordingTracer(set(config.trace_kinds)) if config.trace_kinds \
-            else NullTracer()
+def _build_network(config: ScenarioConfig, tracer) -> Network:
     net = build_leaf_spine(config.fabric_config(), tracer=tracer)
     if config.link_overrides:
         overrides = [LinkOverride(*ov) for ov in config.link_overrides]
         apply_asymmetry(net, overrides)
-    return net, tracer
+    return net
 
 
 def _install_workload(config: ScenarioConfig, net, registry) -> WorkloadResult:
@@ -276,9 +273,10 @@ def run_scenario(
         caller keeps ownership and closes it).
     recorder:
         Optional :class:`~repro.obs.FlightRecorder`.  When given, it is
-        attached to the built fabric (sample timer, q_th audit hooks,
-        FCT subscription) and its queueing-delay tap is tee'd into the
-        trace stream; it is stopped and finalized before returning.
+        attached to the built fabric (sample timer, FCT subscription)
+        and tee'd into the trace stream as a sink (queueing delays, the
+        ``qth`` audit); it is stopped and finalized before returning.
+        Its timer ticks are not counted in ``extras["events"]``.
         ``None`` (the default) leaves every run path untouched.
 
     ``config.spans`` adds a :class:`~repro.obs.spans.SpanBuffer` as a trace
@@ -300,7 +298,7 @@ def run_scenario(
     if spans is not None:
         sinks.append(spans)
     if recorder is not None:
-        sinks.append(recorder.wait_tap())
+        sinks.append(recorder)
     if len(sinks) == 1:
         tracer = sinks[0]
     elif sinks:
@@ -308,8 +306,8 @@ def run_scenario(
 
         tracer = TeeTracer(*sinks)
     else:
-        tracer = None
-    net, tracer = _build_network(config, tracer)
+        tracer = NullTracer()
+    net = _build_network(config, tracer)
     # If the run dies mid-flight, flush durable sinks so the trace tail
     # (the part forensics needs) still reaches disk.
     net.sim.add_cleanup_hook(tracer.flush)
@@ -331,10 +329,10 @@ def run_scenario(
             detection_delay=config.fault_detection_delay,
         ).arm()
     if recorder is not None:
-        recorder.attach(net, registry=registry, balancers=balancers,
+        recorder.attach(net, registry=registry,
                         short_threshold=config.short_threshold)
     if spans is not None:
-        spans.attach(registry, balancers)
+        spans.attach(registry)
 
     sim = net.sim
     profiler = None
@@ -351,12 +349,16 @@ def run_scenario(
         t = min(t + config.slice_width, config.horizon)
         sim.run(until=t)
     wall = time.perf_counter() - wall0
+    events = sim.events_processed
+    if recorder is not None:
+        # Sample-timer firings are the observer's, not the traffic's.
+        events -= recorder.ticks
 
     metrics = collector.finalize(
         net, scheme=config.scheme, horizon=sim.now, balancers=balancers)
     metrics.extras["completed_all"] = len(done_ids) >= len(pending)
     metrics.extras["seed"] = config.seed
-    metrics.extras["events"] = sim.events_processed
+    metrics.extras["events"] = events
     metrics.extras["long_reroutes"] = sum(
         getattr(lb, "long_reroutes", 0) for lb in balancers.values())
     if injector is not None:
@@ -367,8 +369,7 @@ def run_scenario(
         from repro.obs.telemetry import peak_rss_bytes
 
         metrics.extras["wall_time_s"] = wall
-        metrics.extras["events_per_sec"] = (
-            sim.events_processed / wall if wall > 0 else 0.0)
+        metrics.extras["events_per_sec"] = events / wall if wall > 0 else 0.0
         metrics.extras["sim_wall_ratio"] = sim.now / wall if wall > 0 else 0.0
         metrics.extras["peak_rss_bytes"] = peak_rss_bytes()
     if profiler is not None:
@@ -390,7 +391,7 @@ def run_scenario(
                     "Completed simulation runs.").inc(scheme=config.scheme)
         reg.counter("repro_sim_events_total",
                     "Kernel events processed, summed per run."
-                    ).inc(sim.events_processed, scheme=config.scheme)
+                    ).inc(events, scheme=config.scheme)
         reg.counter("repro_sim_flows_total",
                     "Flows installed by the workload."
                     ).inc(len(pending), scheme=config.scheme)

@@ -14,7 +14,7 @@ fault.  When an event fires it
   ``detection_delay``, modelling how long BFD/LAG monitoring takes to
   notice), so schemes exclude dead uplinks and re-admit recovered ones;
 * emits a trace record of the transition (kind = the fault kind), which
-  ``repro trace summarize`` and :class:`~repro.obs.CountingTracer`
+  ``repro trace summarize`` and :class:`~repro.obs.SpanBuffer`
   aggregate into fault timelines.
 
 Loss bursts draw from the network's seeded ``"faults"`` RNG stream

@@ -18,7 +18,6 @@ from repro.metrics.queueing import queue_length_samples, queue_wait_series
 from repro.metrics.utilization import jain_index, port_utilizations
 from repro.metrics.overhead import OverheadModel, SchemeOverhead
 from repro.metrics.collector import MetricsCollector, RunMetrics
-from repro.metrics.monitor import QueueMonitor
 from repro.metrics.export import (
     metrics_to_dict,
     write_metrics_csv,
@@ -44,7 +43,6 @@ __all__ = [
     "SchemeOverhead",
     "MetricsCollector",
     "RunMetrics",
-    "QueueMonitor",
     "metrics_to_dict",
     "write_metrics_csv",
     "write_metrics_json",

@@ -6,9 +6,8 @@ argument needs in code form.  The substrate already emits trace points
 and makes whole runs self-describing:
 
 * :class:`JsonlTracer` — streams trace records to a JSON-Lines file with
-  bounded buffering (post-mortem analysis, ``repro trace summarize``);
-* :class:`CountingTracer` — near-zero-cost per-(kind, node) counters
-  (enqueue / dequeue / drop / mark / reroute / retransmit);
+  bounded buffering (post-mortem analysis, ``repro trace summarize``)
+  and counts them per kind for the run manifest;
 * :class:`TeeTracer` — fans one trace stream out to several sinks;
 * :func:`~repro.obs.telemetry.peak_rss_bytes` — the peak-memory read
   behind ``ScenarioConfig.telemetry`` (``run_scenario`` derives wall
@@ -19,8 +18,8 @@ and makes whole runs self-describing:
   (fleet sweeps heartbeat :func:`repro.fleet.format_summary`);
 * :func:`summarize_trace` — aggregate a JSONL trace back into tables;
 * :class:`FlightRecorder` / :class:`RecordedRun` — bounded in-sim
-  time-series sampling with a q_th decision audit (``repro run
-  --record``, ``repro report``);
+  time-series sampling, and a trace sink that audits the ``qth``
+  decisions (``repro run --record``, ``repro report``);
 * :func:`render_html_report` — self-contained HTML dashboards;
 * :func:`diff_paths` / :func:`format_diff` — direction-aware metric
   regression detection (``repro diff``);
@@ -56,7 +55,7 @@ _EXPORTS = {
     "report": ("render_html_report", "write_html_report"),
     "spans": ("SpanBuffer", "format_explain", "load_spans"),
     "summarize": ("TraceSummary", "format_trace_summary", "summarize_trace"),
-    "tracers": ("CountingTracer", "JsonlTracer", "TeeTracer"),
+    "tracers": ("JsonlTracer", "TeeTracer"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}
@@ -76,7 +75,6 @@ def __dir__() -> list[str]:
 
 
 __all__ = [
-    "CountingTracer",
     "JsonlTracer",
     "TeeTracer",
     "SpanBuffer",

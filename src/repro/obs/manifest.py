@@ -75,7 +75,7 @@ def build_manifest(
         scalar ``extras`` (telemetry, completion, event count) and
         horizon are recorded.
     counters:
-        A :class:`~repro.obs.tracers.CountingTracer` (or a plain
+        A :class:`~repro.obs.tracers.JsonlTracer` (or a plain
         kind→count mapping); its per-kind totals are recorded.
     extra:
         Additional top-level fields (e.g. sweep coordinates).

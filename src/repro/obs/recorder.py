@@ -20,11 +20,11 @@ rows at a uniform (coarsening) cadence.  Counters are sampled
 *cumulatively*, so rates computed from decimated rows stay exact over
 each surviving window.
 
-Recording is off by default: :func:`~repro.experiments.common.
-run_scenario` only touches the recorder when one is passed in, the TLB
-audit hook fires only when a listener is registered, and the
-queueing-delay tap follows the same ``tracer.enabled`` guard discipline
-as every other sink — a run without a recorder pays nothing.
+The recorder is a trace sink: :func:`~repro.experiments.common.
+run_scenario` tees it into the run's trace stream, where it folds
+``dequeue`` waits into the queueing-delay histogram and ``qth`` records
+(TLB's decisions) into the audit.  Every emit site sits behind the
+``tracer.enabled`` guard, so a run without a recorder pays nothing.
 
 The recorded artefact round-trips through a compressed ``.npz``
 (:meth:`FlightRecorder.save` / :meth:`RecordedRun.load`) consumed by
@@ -41,6 +41,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro._version import __version__
+from repro.core.granularity_calculator import DECISION_FIELDS
 from repro.errors import ConfigError
 from repro.metrics.fct import is_short
 from repro.metrics.histogram import LogHistogram
@@ -53,23 +54,8 @@ __all__ = ["FlightRecorder", "RecordedRun"]
 RECORDING_SCHEMA = 1
 
 
-class _WaitTap(Tracer):
-    """A trace sink that folds ``dequeue`` wait times into a histogram.
-
-    Installed (tee'd with the run's tracer) only while a recorder is
-    active, so the per-packet cost exists only when recording.
-    """
-
-    enabled = True
-
-    def __init__(self, hist: LogHistogram):
-        self.hist = hist
-
-    def emit(self, time: float, kind: str, **fields: Any) -> None:
-        if kind == "dequeue":
-            wait = fields.get("wait")
-            if wait is not None:
-                self.hist.observe(float(wait))
+#: the q_th audit columns of one ``qth`` trace record
+_AUDIT_FIELDS = (*DECISION_FIELDS, "load_bps")
 
 
 class _AuditRing:
@@ -80,47 +66,35 @@ class _AuditRing:
     ``stride``-th subsequent decision is recorded.
     """
 
-    __slots__ = ("cap", "stride", "_skip", "times", "qth", "raw", "regime",
-                 "m_short", "m_long", "x_packets", "deadline", "load_bps")
+    __slots__ = ("cap", "stride", "_skip", "times", "cols")
 
     def __init__(self, cap: int):
         self.cap = cap
         self.stride = 1
         self._skip = 0
         self.times: list[float] = []
-        self.qth: list[int] = []
-        self.raw: list[float] = []
-        self.regime: list[str] = []
-        self.m_short: list[int] = []
-        self.m_long: list[int] = []
-        self.x_packets: list[float] = []
-        self.deadline: list[float] = []
-        self.load_bps: list[float] = []
+        self.cols: dict[str, list] = {name: [] for name in _AUDIT_FIELDS}
 
-    def add(self, now: float, decision, load_bps: float) -> None:
+    def add(self, now: float, fields: dict) -> None:
         self._skip += 1
         if self._skip < self.stride:
             return
         self._skip = 0
         self.times.append(now)
-        self.qth.append(decision.qth)
-        self.raw.append(decision.raw)
-        self.regime.append(decision.regime)
-        self.m_short.append(decision.m_short)
-        self.m_long.append(decision.m_long)
-        self.x_packets.append(decision.x_packets)
-        self.deadline.append(decision.deadline)
-        self.load_bps.append(load_bps)
+        for name, col in self.cols.items():
+            col.append(fields[name])
         if len(self.times) >= self.cap:
             keep = (len(self.times) - 1) % 2  # retain the newest row
-            for name in ("times", "qth", "raw", "regime", "m_short", "m_long",
-                         "x_packets", "deadline", "load_bps"):
-                setattr(self, name, getattr(self, name)[keep::2])
+            self.times = self.times[keep::2]
+            self.cols = {name: col[keep::2] for name, col in self.cols.items()}
             self.stride *= 2
 
 
-class FlightRecorder:
+class FlightRecorder(Tracer):
     """Samples a live fabric into bounded columnar time series.
+
+    Also a trace sink (see the module docstring): tee it into the run's
+    tracer for the queueing-delay histogram and the q_th audit.
 
     Parameters
     ----------
@@ -134,6 +108,8 @@ class FlightRecorder:
     bins_per_decade:
         Resolution of the FCT / queueing-delay histograms.
     """
+
+    enabled = True
 
     def __init__(self, *, cadence: float = 500e-6, max_samples: int = 4096,
                  bins_per_decade: int = 10):
@@ -160,7 +136,6 @@ class FlightRecorder:
         self.fct_short = LogHistogram(bins_per_decade, min_value=1e-6)
         self.fct_long = LogHistogram(bins_per_decade, min_value=1e-6)
         self.queue_wait = LogHistogram(bins_per_decade, min_value=1e-9)
-        self._tap = _WaitTap(self.queue_wait)
         self._timer: Optional[PeriodicTimer] = None
         self._net = None
         self._registry = None
@@ -171,15 +146,10 @@ class FlightRecorder:
 
     # -- wiring -----------------------------------------------------------
 
-    def wait_tap(self) -> Tracer:
-        """The queueing-delay trace sink to tee into the run's tracer."""
-        return self._tap
-
-    def attach(self, net, registry=None, balancers=None, *, ports=None,
+    def attach(self, net, registry=None, *, ports=None,
                short_threshold: int = 100_000) -> "FlightRecorder":
-        """Install the sample timer and audit hooks on a built fabric.
+        """Install the sample timer and FCT subscription on a built fabric.
 
-        Call after balancers are attached (the audit hook needs them).
         ``ports`` defaults to every leaf uplink — where the paper's
         congestion story happens.
         """
@@ -190,10 +160,6 @@ class FlightRecorder:
         self.ports = list(ports) if ports is not None else net.all_leaf_uplink_ports()
         self.port_names = [p.name for p in self.ports]
         self.short_threshold = int(short_threshold)
-        if balancers:
-            for lb in balancers.values():
-                if hasattr(lb, "decision_listeners"):
-                    lb.decision_listeners.append(self._on_decision)
         if registry is not None:
             registry.subscribe_completion(self._on_completion)
         self._timer = PeriodicTimer(net.sim, self.cadence_now, self._sample)
@@ -203,9 +169,26 @@ class FlightRecorder:
         """Cancel the sampling timer (idempotent)."""
         if self._timer is not None:
             self._timer.cancel()
-            self._timer = None
+
+    @property
+    def ticks(self) -> int:
+        """Sample-timer firings so far: kernel events the recorder, not
+        the simulated traffic, caused."""
+        return self._timer.ticks if self._timer is not None else 0
 
     # -- ingest -----------------------------------------------------------
+
+    def emit(self, time: float, kind: str, **fields: Any) -> None:
+        if kind == "dequeue":
+            wait = fields.get("wait")
+            if wait is not None:
+                self.queue_wait.observe(float(wait))
+        elif kind == "qth":
+            node = fields["node"]
+            ring = self._audit.get(node)
+            if ring is None:
+                ring = self._audit[node] = _AuditRing(self.max_samples)
+            ring.add(time, fields)
 
     def _on_completion(self, stats) -> None:
         fct = stats.fct
@@ -215,12 +198,6 @@ class FlightRecorder:
             self.fct_short.observe(fct)
         else:
             self.fct_long.observe(fct)
-
-    def _on_decision(self, now: float, lb, decision) -> None:
-        ring = self._audit.get(lb.switch.name)
-        if ring is None:
-            ring = self._audit[lb.switch.name] = _AuditRing(self.max_samples)
-        ring.add(now, decision, lb.load.rate_bps)
 
     def _sample(self) -> None:
         self._times.append(self._net.sim.now)
@@ -323,25 +300,16 @@ class FlightRecorder:
         }
         # q_th audit: flattened over switches, name-sorted for determinism
         switches = sorted(self._audit)
-        rows = {
-            "t": [], "switch_idx": [], "qth": [], "raw": [], "m_short": [],
-            "m_long": [], "x_packets": [], "deadline": [], "load_bps": [],
-        }
-        regimes: list[str] = []
+        rows: dict[str, list] = {"t": [], "switch_idx": []}
+        rows.update((name, []) for name in _AUDIT_FIELDS)
         for idx, name in enumerate(switches):
             ring = self._audit[name]
             rows["t"].extend(ring.times)
             rows["switch_idx"].extend([idx] * len(ring.times))
-            rows["qth"].extend(ring.qth)
-            rows["raw"].extend(ring.raw)
-            rows["m_short"].extend(ring.m_short)
-            rows["m_long"].extend(ring.m_long)
-            rows["x_packets"].extend(ring.x_packets)
-            rows["deadline"].extend(ring.deadline)
-            rows["load_bps"].extend(ring.load_bps)
-            regimes.extend(ring.regime)
+            for col, values in ring.cols.items():
+                rows[col].extend(values)
         arrays["audit_switches"] = np.asarray(switches, dtype=np.str_)
-        arrays["audit_regime"] = np.asarray(regimes, dtype=np.str_)
+        arrays["audit_regime"] = np.asarray(rows.pop("regime"), dtype=np.str_)
         for key, values in rows.items():
             dtype = np.int64 if key in ("switch_idx", "qth", "m_short", "m_long") \
                 else np.float64

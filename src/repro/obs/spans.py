@@ -38,6 +38,7 @@ from heapq import heappush, heapreplace
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.core.granularity_calculator import DECISION_FIELDS
 from repro.errors import ConfigError
 from repro.metrics.fct import is_short
 from repro.sim.trace import Tracer
@@ -125,9 +126,9 @@ class SpanBuffer(Tracer):
     """Bounded per-flow span assembly with deterministic tail sampling.
 
     Installs as the fabric's trace sink (possibly tee'd with other
-    sinks).  Call :meth:`attach` after balancers are bound, and
-    :meth:`finalize` when the run ends; :meth:`save` then writes the
-    deterministic span file.
+    sinks); ``qth`` records become the per-switch decision rows.  Call
+    :meth:`attach` with the flow registry, and :meth:`finalize` when the
+    run ends; :meth:`save` then writes the deterministic span file.
 
     Parameters
     ----------
@@ -183,27 +184,11 @@ class SpanBuffer(Tracer):
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, registry, balancers: Optional[dict] = None) -> "SpanBuffer":
-        """Subscribe to flow completions and balancer q_th decisions."""
+    def attach(self, registry) -> "SpanBuffer":
+        """Subscribe to flow completions."""
         self._registry = registry
         registry.subscribe_completion(self._on_completion)
-        for node, lb in (balancers or {}).items():
-            listeners = getattr(lb, "decision_listeners", None)
-            if listeners is not None:
-                listeners.append(self._make_decision_listener(node))
         return self
-
-    def _make_decision_listener(self, node: str):
-        def on_decision(now: float, _balancer, decision) -> None:
-            rows = self._decisions.setdefault(node, [])
-            if len(rows) >= self.max_decisions:
-                self._decisions_dropped[node] += 1
-                return
-            row = {"t": now}
-            row.update(decision.as_dict())
-            rows.append(row)
-
-        return on_decision
 
     # -- the sink ----------------------------------------------------------
 
@@ -214,6 +199,16 @@ class SpanBuffer(Tracer):
         get = fields.get
         flow_id = get("flow")
         if flow_id is None:
+            if kind == "qth":
+                node = fields["node"]
+                rows = self._decisions.setdefault(node, [])
+                if len(rows) >= self.max_decisions:
+                    self._decisions_dropped[node] += 1
+                else:
+                    row = {"t": time}
+                    row.update((key, fields[key]) for key in DECISION_FIELDS)
+                    rows.append(row)
+                return
             # Flow-less record: a fault transition (or future global kind).
             self._events.append((time, kind, fields))
             ports = get("ports")

@@ -1,9 +1,9 @@
 """Aggregate a JSONL trace back into per-kind / per-node tables.
 
 The inverse of :class:`~repro.obs.tracers.JsonlTracer`: read a trace
-file and reduce it to the same counters a live
-:class:`~repro.obs.tracers.CountingTracer` would have kept, plus the
-time span.  Powers ``repro trace summarize``.
+file and reduce it to per-(kind, node) counters — per kind, the same
+totals the writer recorded in the run manifest — plus the time span.
+Powers ``repro trace summarize``.
 """
 
 from __future__ import annotations

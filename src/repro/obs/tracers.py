@@ -1,10 +1,10 @@
-"""Durable and aggregating trace sinks.
+"""The durable trace sink and the tee.
 
 These compose with the substrate's emit sites (ports, switches,
 balancers, senders) through the :class:`~repro.sim.trace.Tracer`
 interface.  All hot paths guard on ``tracer.enabled``, so installing a
-:class:`~repro.sim.trace.NullTracer` still costs nothing; these sinks
-flip ``enabled`` and pay only for what they keep.
+:class:`~repro.sim.trace.NullTracer` still costs nothing; a sink flips
+``enabled`` and pays only for what it keeps.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import IO, Any, Iterable, Optional
 from repro.errors import ConfigError
 from repro.sim.trace import Tracer
 
-__all__ = ["JsonlTracer", "CountingTracer", "TeeTracer", "open_trace_text", "trace_node"]
+__all__ = ["JsonlTracer", "TeeTracer", "open_trace_text", "trace_node"]
 
 
 def open_trace_text(path: str | Path) -> IO[str]:
@@ -60,6 +60,9 @@ class JsonlTracer(Tracer):
     gzip-compressed, so long flight-recorded runs don't blow up disk;
     ``repro trace summarize`` reads both forms transparently.
 
+    The tracer counts what it writes per kind; :meth:`totals` is the
+    ``trace_counters`` block of a run manifest.
+
     Parameters
     ----------
     path:
@@ -85,7 +88,8 @@ class JsonlTracer(Tracer):
         self.path = Path(path)
         self.kinds = set(kinds) if kinds is not None else None
         self.flush_every = int(flush_every)
-        self.records_written = 0
+        #: kind -> records written
+        self.counts: Counter[str] = Counter()
         self._buffer: list[str] = []
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.suffix == ".gz":
@@ -101,7 +105,7 @@ class JsonlTracer(Tracer):
         record = {"t": time, "kind": kind}
         record.update(fields)
         self._buffer.append(json.dumps(record, default=str))
-        self.records_written += 1
+        self.counts[kind] += 1
         if len(self._buffer) >= self.flush_every:
             self.flush()
 
@@ -123,6 +127,15 @@ class JsonlTracer(Tracer):
         self._fh = None
 
     @property
+    def records_written(self) -> int:
+        """All records written."""
+        return sum(self.counts.values())
+
+    def totals(self) -> dict[str, int]:
+        """Records written per kind, sorted by kind."""
+        return dict(sorted(self.counts.items()))
+
+    @property
     def closed(self) -> bool:
         return self._fh is None
 
@@ -131,53 +144,6 @@ class JsonlTracer(Tracer):
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class CountingTracer(Tracer):
-    """Aggregates per-(kind, node) event counts, keeping no records.
-
-    The cheap always-on companion to :class:`JsonlTracer`: each emit is a
-    dict lookup and an integer increment, so it can ride along under full
-    traffic to produce the counter totals a run manifest records.
-    """
-
-    enabled = True
-
-    def __init__(self, kinds: Optional[Iterable[str]] = None):
-        self.kinds = set(kinds) if kinds is not None else None
-        #: (kind, node) -> count
-        self.counts: Counter[tuple[str, str]] = Counter()
-
-    def emit(self, time: float, kind: str, **fields: Any) -> None:
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        self.counts[(kind, trace_node(fields))] += 1
-
-    # -- views -----------------------------------------------------------
-
-    def total(self) -> int:
-        """All counted trace points."""
-        return sum(self.counts.values())
-
-    def count(self, kind: str) -> int:
-        """Total count of one kind across all nodes."""
-        return sum(c for (k, _), c in self.counts.items() if k == kind)
-
-    def totals(self) -> dict[str, int]:
-        """Per-kind totals, sorted by kind."""
-        out: Counter[str] = Counter()
-        for (kind, _), c in self.counts.items():
-            out[kind] += c
-        return dict(sorted(out.items()))
-
-    def by_node(self, kind: str) -> dict[str, int]:
-        """One kind's counts per node, largest first."""
-        items = [(node, c) for (k, node), c in self.counts.items() if k == kind]
-        return dict(sorted(items, key=lambda kv: (-kv[1], kv[0])))
-
-    def clear(self) -> None:
-        """Reset all counters."""
-        self.counts.clear()
 
 
 class TeeTracer(Tracer):

@@ -4,8 +4,8 @@ The network substrate emits trace points through a :class:`Tracer`.  The
 default :class:`NullTracer` compiles to near-nothing; tests and the
 figure drivers install a :class:`RecordingTracer` to capture the event
 stream they need (e.g. per-packet queue lengths for Fig. 3a) without the
-hot path paying for generic logging.  File-backed and counting sinks
-live in :mod:`repro.obs`.
+hot path paying for generic logging.  The file-backed sink, the span
+buffer and the flight recorder live in :mod:`repro.obs`.
 
 Kinds emitted by the substrate (each record carries a ``port=`` or
 ``node=`` field attributing it to a network location):
@@ -13,6 +13,8 @@ Kinds emitted by the substrate (each record carries a ``port=`` or
 * ``enqueue`` / ``dequeue`` / ``drop`` — port FIFO events;
 * ``mark`` — ECN mark applied at enqueue (DCTCP's congestion signal);
 * ``reroute`` — a long flow moved paths (TLB's switching decision);
+* ``qth`` — TLB recomputed its switching threshold (Eq. 9), with the
+  calculator's inputs, its regime and the measured short-flow load;
 * ``retransmit`` — a sender retransmitted a segment (loss or reordering
   misread as loss).
 """

@@ -167,11 +167,17 @@ def test_diff_command_exit_codes(capsys, tmp_path):
     assert main(["diff", str(a), str(b), "--tolerance", "15"]) == 0
 
 
-def test_record_flags_parse_with_defaults():
+def test_record_flags_parse_with_defaults(capsys):
     args = build_parser().parse_args(["run", "--record", "r.npz"])
     assert args.record == "r.npz"
-    assert args.record_cadence == pytest.approx(500e-6)
-    assert args.record_max_samples == 4096
+    # the recorder runs at FlightRecorder's defaults; its two tuning
+    # flags are gone
+    assert not hasattr(args, "record_cadence")
+    assert not hasattr(args, "record_max_samples")
+    for flag in ("--record-cadence", "--record-max-samples"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--record", "r.npz", flag, "1"])
+    capsys.readouterr()
 
 
 def test_bench_command_is_gone_not_hidden(capsys):

@@ -237,9 +237,8 @@ OPTION_SURFACE = {'repro': ['--help', '--version', '-h'],
  'repro run': ['--cache', '--cache-dir', '--csv', '--fault-detection-delay',
                '--faults', '--flows', '--help', '--json', '--load',
                '--long-flows', '--no-cache', '--paths', '--record',
-               '--record-cadence', '--record-max-samples', '--scheme',
-               '--seed', '--short-flows', '--sizes', '--spans', '--telemetry',
-               '--trace', '--workload', '-h'],
+               '--scheme', '--seed', '--short-flows', '--sizes', '--spans',
+               '--telemetry', '--trace', '--workload', '-h'],
  'repro schemes': ['--help', '-h'],
  'repro sweep': ['--cache', '--cache-dir', '--chunksize', '--csv', '--faults',
                  '--flows', '--help', '--loads', '--no-cache', '--processes',

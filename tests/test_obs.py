@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.obs import (
-    CountingTracer,
     JsonlTracer,
     ProgressReporter,
     TeeTracer,
@@ -78,30 +77,23 @@ def test_jsonl_tracer_rejects_bad_flush_every(tmp_path):
         JsonlTracer(tmp_path / "t.jsonl", flush_every=0)
 
 
-# -- CountingTracer ------------------------------------------------------
-
-
-def test_counting_tracer_aggregates_per_kind_and_node():
-    t = CountingTracer()
-    t.emit(0.0, "enqueue", port="a")
-    t.emit(0.1, "enqueue", port="a")
-    t.emit(0.2, "enqueue", port="b")
-    t.emit(0.3, "drop", port="a")
-    t.emit(0.4, "reroute", node="leaf0")
-    t.emit(0.5, "tick")  # no node attribution
+def test_jsonl_tracer_counts_per_kind(tmp_path):
+    with JsonlTracer(tmp_path / "t.jsonl") as t:
+        t.emit(0.0, "enqueue", port="a")
+        t.emit(0.1, "enqueue", port="a")
+        t.emit(0.2, "enqueue", port="b")
+        t.emit(0.3, "drop", port="a")
+        t.emit(0.4, "reroute", node="leaf0")
+        t.emit(0.5, "tick")  # no node attribution
     assert t.totals() == {"drop": 1, "enqueue": 3, "reroute": 1, "tick": 1}
-    assert t.count("enqueue") == 3
-    assert t.total() == 6
-    assert t.by_node("enqueue") == {"a": 2, "b": 1}
-    assert t.by_node("tick") == {"": 1}
-    t.clear()
-    assert t.total() == 0
+    assert list(t.totals()) == sorted(t.totals())
+    assert t.records_written == 6
 
 
-def test_counting_tracer_kind_filter():
-    t = CountingTracer(kinds={"drop"})
-    t.emit(0.0, "enqueue", port="a")
-    t.emit(0.1, "drop", port="a")
+def test_jsonl_tracer_kind_filter_counts(tmp_path):
+    with JsonlTracer(tmp_path / "t.jsonl", kinds={"drop"}) as t:
+        t.emit(0.0, "enqueue", port="a")
+        t.emit(0.1, "drop", port="a")
     assert t.totals() == {"drop": 1}
 
 
@@ -109,12 +101,12 @@ def test_counting_tracer_kind_filter():
 
 
 def test_tee_tracer_fans_out_and_reports_enabled():
-    rec, cnt = RecordingTracer(), CountingTracer()
-    tee = TeeTracer(rec, cnt)
+    rec, other = RecordingTracer(), RecordingTracer()
+    tee = TeeTracer(rec, other)
     assert tee.enabled
     tee.emit(1.0, "drop", port="p")
     assert rec.count("drop") == 1
-    assert cnt.count("drop") == 1
+    assert other.count("drop") == 1
 
 
 def test_tee_of_disabled_tracers_is_disabled():
@@ -124,7 +116,7 @@ def test_tee_of_disabled_tracers_is_disabled():
 
 def test_tee_close_propagates(tmp_path):
     jsonl = JsonlTracer(tmp_path / "t.jsonl")
-    tee = TeeTracer(jsonl, CountingTracer())
+    tee = TeeTracer(jsonl, RecordingTracer())
     tee.emit(0.0, "enqueue", port="p")
     tee.close()
     assert jsonl.closed
@@ -142,12 +134,13 @@ def test_peak_rss_is_positive_when_available():
 # -- manifests -----------------------------------------------------------
 
 
-def test_build_manifest_records_provenance_and_config():
+def test_build_manifest_records_provenance_and_config(tmp_path):
     from repro.experiments.common import ScenarioConfig
 
     config = ScenarioConfig(scheme="ecmp", seed=42)
-    counters = CountingTracer()
+    counters = JsonlTracer(tmp_path / "t.jsonl")
     counters.emit(0.0, "enqueue", port="p")
+    counters.close()
     manifest = build_manifest(config, counters=counters,
                               extra={"note": "unit test"})
     assert manifest["package"] == "repro"
@@ -180,17 +173,16 @@ def test_write_manifest_into_directory(tmp_path):
 
 def test_summarize_round_trips_jsonl_counts(tmp_path):
     path = tmp_path / "t.jsonl"
-    counters = CountingTracer()
-    tee = TeeTracer(JsonlTracer(path), counters)
-    tee.emit(0.1, "enqueue", port="a", flow=1)
-    tee.emit(0.2, "enqueue", port="b", flow=1)
-    tee.emit(0.3, "drop", port="a", flow=2)
-    tee.emit(0.4, "reroute", node="leaf0", flow=3)
-    tee.close()
+    tracer = JsonlTracer(path)
+    tracer.emit(0.1, "enqueue", port="a", flow=1)
+    tracer.emit(0.2, "enqueue", port="b", flow=1)
+    tracer.emit(0.3, "drop", port="a", flow=2)
+    tracer.emit(0.4, "reroute", node="leaf0", flow=3)
+    tracer.close()
     summary = summarize_trace(path)
     assert summary.n_records == 4
-    assert summary.by_kind == counters.totals()
-    assert summary.nodes_for("enqueue") == counters.by_node("enqueue")
+    assert summary.by_kind == tracer.totals()
+    assert summary.nodes_for("enqueue") == {"a": 1, "b": 1}
     assert summary.t_min == pytest.approx(0.1)
     assert summary.t_max == pytest.approx(0.4)
 
@@ -270,8 +262,7 @@ def test_scenario_trace_and_telemetry_end_to_end(tmp_path):
     from repro.experiments.common import ScenarioConfig, run_scenario
 
     trace_path = tmp_path / "run.jsonl"
-    counters = CountingTracer()
-    tracer = TeeTracer(JsonlTracer(trace_path), counters)
+    tracer = JsonlTracer(trace_path)
     config = ScenarioConfig(
         scheme="tlb", seed=3, n_paths=4, n_short=4, n_long=1,
         hosts_per_leaf=5, short_window=0.005, distinct_hosts=True,
@@ -286,9 +277,9 @@ def test_scenario_trace_and_telemetry_end_to_end(tmp_path):
     assert "telemetry:" in result.metrics.summary()
 
     summary = summarize_trace(trace_path)
-    assert summary.n_records == counters.total() > 0
-    assert summary.by_kind == counters.totals()
-    assert "enqueue" in summary.by_kind
+    assert summary.n_records == tracer.records_written > 0
+    assert summary.by_kind == tracer.totals()
+    assert {"enqueue", "qth"} <= set(summary.by_kind)
 
 
 # -- gzip trace support ------------------------------------------------------

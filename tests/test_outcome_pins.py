@@ -141,14 +141,37 @@ _TRACE_KINDS = ("enqueue", "dequeue", "drop", "mark", "reroute", "retransmit",
                 "rto", "ooo")
 
 
-@pytest.mark.parametrize("cell", ["rps", "tlb", "tlb+faults", "tlb+incast"])
-def test_tracing_never_changes_the_outcome(cell):
+#: the observers a run can carry; the bare cell id is ``trace_kinds``
+_OBSERVERS = ("trace_kinds", "spans", "recorder", "jsonl")
+
+
+@pytest.mark.parametrize("cell,observer", [
+    pytest.param(cell, observer,
+                 id=cell if observer == "trace_kinds" else f"{cell}-{observer}")
+    for cell in ("rps", "tlb", "tlb+faults", "tlb+incast")
+    for observer in _OBSERVERS])
+def test_tracing_never_changes_the_outcome(cell, observer, tmp_path):
     """A traced port takes the general path through ``Port.enqueue`` /
     ``_transmit``, an untraced one starts serialisations in place: the
     two must agree byte for byte — through a link cut mid-serialisation,
-    parked traffic, drop-tail loss and reordering."""
-    result = run_scenario(replace(_cells()[cell], trace_kinds=_TRACE_KINDS))
-    assert {"enqueue", "dequeue"} <= set(result.tracer.records) <= set(_TRACE_KINDS)
+    parked traffic, drop-tail loss and reordering — whichever observer
+    listens."""
+    config = _cells()[cell]
+    if observer == "trace_kinds":
+        result = run_scenario(replace(config, trace_kinds=_TRACE_KINDS))
+        assert {"enqueue", "dequeue"} <= set(result.tracer.records) <= set(_TRACE_KINDS)
+    elif observer == "spans":
+        result = run_scenario(replace(config, spans=True))
+    elif observer == "recorder":
+        from repro.obs import FlightRecorder
+
+        result = run_scenario(config, recorder=FlightRecorder())
+    else:
+        from repro.obs import JsonlTracer
+
+        with JsonlTracer(tmp_path / "run.jsonl") as tracer:
+            result = run_scenario(config, tracer=tracer)
+        assert tracer.records_written > 0
     assert outcome_digest(result) == PINS[cell]
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.net.port import Port
-from repro.obs.tracers import CountingTracer
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, RecordingTracer
 from repro.units import Gbps, Mbps, microseconds
@@ -360,7 +359,7 @@ def test_in_place_starts_leave_what_transmit_leaves():
     ``_transmission_done``; a traced one goes through ``_transmit``.
     Same arrivals, same counters, transmitter state and calendar."""
     runs = []
-    for tracer in (None, CountingTracer()):
+    for tracer in (None, RecordingTracer()):
         sim = Simulator()
         port = make_port(sim, Sink(), tracer=tracer)
         assert port._plain is (tracer is None)

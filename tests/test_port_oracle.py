@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.net.packet import Packet
 from repro.net.port import Port, PortStats
-from repro.obs.tracers import CountingTracer
+from repro.sim.trace import RecordingTracer
 from repro.sim.engine import Simulator
 
 TICK = 2.0 ** -20
@@ -186,7 +186,7 @@ _SCHEDULES = st.lists(
 def test_port_matches_two_event_reference(delay_ticks, ops):
     assert _drive(Port, delay_ticks, ops) == _drive(TwoEventPort, delay_ticks, ops)
     # a traced port takes the general enqueue/_transmit path throughout
-    assert _drive(Port, delay_ticks, ops, CountingTracer()) \
+    assert _drive(Port, delay_ticks, ops, RecordingTracer()) \
         == _drive(Port, delay_ticks, ops)
 
 

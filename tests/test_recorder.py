@@ -1,5 +1,7 @@
 """Tests for the flight recorder: bounded sampling, audit, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,11 +76,9 @@ def test_recording_does_not_perturb_flow_metrics(recorded):
     plain = run_scenario(ScenarioConfig(scheme="tlb", seed=3, **SMALL))
     a = metrics_to_dict(plain.metrics)
     b = metrics_to_dict(res.metrics)
-    # the recorder adds timer events; everything measured about the
-    # traffic itself must be unchanged
+    # the recorder's own timer ticks are not simulation events, so
+    # every exported number, the event count included, is unchanged
     for key in a:
-        if key == "extra_events":
-            continue
         assert a[key] == b[key], key
 
 
@@ -186,3 +186,41 @@ def test_recorder_validates_params_and_double_attach(recorded):
     rec, res = recorded
     with pytest.raises(ConfigError):
         rec.attach(res.net)
+
+
+def test_one_decision_stream_three_consumers(tmp_path):
+    """TLB's ``qth`` records, as a teed tracer sees them, are the
+    recorder's audit rows and the span file's decision rows, row for
+    row."""
+    from repro.core.granularity_calculator import DECISION_FIELDS as keys
+    from repro.obs.spans import load_spans
+    from repro.sim.trace import RecordingTracer
+    from tests.test_outcome_pins import _cells
+
+    tap = RecordingTracer(kinds={"qth"})
+    rec = FlightRecorder()
+    res = run_scenario(replace(_cells()["tlb"], spans=True),
+                       tracer=tap, recorder=rec)
+    records = tap.of_kind("qth")
+    assert records
+    assert {r.fields["node"] for r in records} == set(res.balancers)
+    assert all(set(r.fields) == {"node", *keys, "load_bps"} for r in records)
+
+    arrays = rec.to_arrays()
+    switches = [str(s) for s in arrays["audit_switches"]]
+    # the audit groups rows by switch (name-sorted), in time order within
+    by_switch = sorted(records, key=lambda r: switches.index(r.fields["node"]))
+    assert [r.time for r in by_switch] == arrays["audit_t"].tolist()
+    assert [switches.index(r.fields["node"]) for r in by_switch] \
+        == arrays["audit_switch_idx"].tolist()
+    for key in (*keys, "load_bps"):
+        assert [r.fields[key] for r in by_switch] \
+            == arrays[f"audit_{key}"].tolist(), key
+
+    expected: dict = {}
+    for r in records:
+        row = {"t": r.time}
+        row.update((key, r.fields[key]) for key in keys)
+        expected.setdefault(r.fields["node"], []).append(row)
+    spans = load_spans(res.spans.save(tmp_path / "run.spans.json"))
+    assert spans["decisions"] == expected

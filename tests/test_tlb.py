@@ -7,6 +7,7 @@ from repro.core.tlb import TlbBalancer
 from repro.errors import ConfigError
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
+from repro.sim.trace import RecordingTracer
 from repro.units import Gbps, KB
 
 from tests.test_lb import FakePort, FakeSwitch
@@ -163,14 +164,16 @@ def test_ack_direction_sizes_not_sampled():
 
 def test_qth_history_recording():
     sim, lb, ports = make_tlb()
-    qth_history = []
-    lb.decision_listeners.append(
-        lambda now, _lb, decision: qth_history.append((now, decision)))
+    lb.switch.tracer = RecordingTracer(kinds={"qth"})
     lb.select_port(syn(flow_id=1), ports)
     sim.run(until=0.002)
+    qth_history = lb.switch.tracer.of_kind("qth")
     assert len(qth_history) >= 3
-    t, decision = qth_history[0]
-    assert t == pytest.approx(0.0005)
+    assert qth_history[0].time == pytest.approx(0.0005)
+    # the latest record is the calculator's latest decision
+    assert qth_history[-1].fields == {
+        "node": "leaf0", **lb.calculator.last_decision.as_dict(),
+        "load_bps": lb.load.rate_bps}
 
 
 def test_stop_cancels_timer():
