@@ -234,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="load sweep across schemes, CSV out")
     _add_grid_args(
         sw, progress_help="print per-task completion and ETA to stderr",
-        retries_help="retry budget per crashed/wedged run (default 1)")
+        retries_help="retry budget per crashed run (default 1)")
     sw.add_argument("--processes", type=int, default=None)
-    sw.add_argument("--chunksize", type=int, default=None, metavar="N",
-                    help="scenarios per worker round-trip (default: auto)")
     _add_cache_args(sw)
 
     fleet = sub.add_parser(
@@ -528,7 +526,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = run_many(configs, processes=args.processes,
                        progress=args.progress, label="sweep",
                        on_error="record", retries=args.retries,
-                       cache=cache, chunksize=args.chunksize)
+                       cache=cache)
     code, wrote = _emit_grid(
         "sweep", configs, results, args.csv,
         cached=cache.hits if cache is not None else 0,

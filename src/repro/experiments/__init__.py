@@ -31,7 +31,6 @@ from repro.experiments.runner import (
     TaskFailure,
     partition_results,
     run_many,
-    sweep,
 )
 from repro.experiments.report import format_table
 from repro.experiments.stats import MetricCI, paired_comparison, replicate
@@ -42,7 +41,6 @@ __all__ = [
     "run_scenario",
     "run_scenario_metrics",
     "run_many",
-    "sweep",
     "TaskFailure",
     "partition_results",
     "format_table",

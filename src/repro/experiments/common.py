@@ -13,6 +13,7 @@ between, capped by ``config.horizon``.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
@@ -257,6 +258,19 @@ def _install_workload(config: ScenarioConfig, net, registry) -> WorkloadResult:
     return wl.install()
 
 
+def _peak_rss_bytes() -> Optional[int]:
+    """Peak resident set size of this process, in bytes (None if unknown).
+
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
+
+
 def run_scenario(
     config: ScenarioConfig, *, tracer=None, recorder=None
 ) -> ScenarioResult:
@@ -366,12 +380,10 @@ def run_scenario(
         metrics.extras["path_events"] = sum(
             lb.path_events for lb in balancers.values())
     if config.telemetry:
-        from repro.obs.telemetry import peak_rss_bytes
-
         metrics.extras["wall_time_s"] = wall
         metrics.extras["events_per_sec"] = events / wall if wall > 0 else 0.0
         metrics.extras["sim_wall_ratio"] = sim.now / wall if wall > 0 else 0.0
-        metrics.extras["peak_rss_bytes"] = peak_rss_bytes()
+        metrics.extras["peak_rss_bytes"] = _peak_rss_bytes()
     if profiler is not None:
         metrics.extras["profile"] = profiler.report(top=16)
     if recorder is not None:

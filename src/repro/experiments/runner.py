@@ -28,21 +28,19 @@ Chunking
 Once cache hits shrink the task list, per-task pool IPC (pickling a
 config, waking a worker, pickling metrics back) starts to show for
 sub-second scenarios.  ``chunksize`` batches several configs into one
-worker round-trip; the default picks 1 for small batches (and always
-when ``timeout`` is armed, which is per *submitted unit*) and grows the
+worker round-trip; the default picks 1 for small batches and grows the
 chunk for large ones.  Inside a chunk each task is still isolated: one
 raising task yields a per-item error record, not a lost chunk.
 
 Resilience
 ----------
 A multi-hour sweep must never die because one scenario crashed.  However
-an attempt fails — the runner raised (in-process, in a worker, or inside
-a chunk) or, in parallel mode, it outlived ``timeout`` — one rule
-settles it, in this order:
+an attempt fails — the runner raised in-process, in a worker, or inside
+a chunk — one rule settles it, in this order:
 
 * **Retry** while the task has budget (``retries=N`` allows ``1 + N``
   attempts) and the error is *retryable* — an OOM-killed worker, a flaky
-  filesystem, a timeout.  A fatal error (a
+  filesystem.  A fatal error (a
   :class:`~repro.errors.ConfigError`, a type error — anything
   :func:`repro.fleet.taxonomy.is_fatal` classifies as a pure function
   of the config) never retries: the outcome is deterministic.
@@ -54,30 +52,25 @@ settles it, in this order:
 **Pool fallback**: if worker processes cannot be created at all (no
 ``fork`` on the platform, sandboxed environments) or the pool breaks
 mid-flight (a worker was killed), the remaining tasks run through the
-same serial loop ``processes=0`` uses rather than failing.
+same serial loop ``processes=0`` uses rather than failing.  Each rescued
+task keeps the attempt it was on: the attempt the broken pool killed is
+run again, not charged, and the attempts already spent stay spent.
 
-``timeout=T`` bounds each parallel task's *running* wall time, clocked
-from when its worker picked it up (its worker process cannot be
-reclaimed, so prefer generous timeouts).  Serial execution cannot be
-preempted and ignores ``timeout``.
+Nothing bounds a wedged task's wall time: a runner that never returns
+holds its worker (or, serially, the sweep) until it is interrupted.
 
-The pool loop waits event-driven on futures — with no ``timeout`` armed
-it blocks until a completion with zero scheduled wake-ups.  With a
-timeout it sleeps until the earliest armed deadline, polling on a short
-schedule only while tasks are still queued (a future's transition to
-*running* has no event to wait on).
+The pool loop is event-driven: it blocks until a future completes.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 import traceback as _traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.experiments.common import ScenarioConfig, run_scenario_metrics
@@ -86,11 +79,7 @@ from repro.metrics.collector import RunMetrics
 from repro.obs.metrics import get_registry
 from repro.obs.progress import ProgressReporter
 
-__all__ = ["TaskFailure", "TaskError", "run_many", "sweep", "partition_results"]
-
-#: how often the pool loop wakes to detect queued→running transitions
-#: while a per-task timeout is armed (there is no event for "started")
-_POLL_INTERVAL = 0.05
+__all__ = ["TaskFailure", "TaskError", "run_many", "partition_results"]
 
 #: auto-chunking bounds: never batch more than this many tasks into one
 #: worker round-trip, and aim for this many waves of chunks per worker
@@ -113,11 +102,9 @@ class TaskFailure:
     error: str
     traceback: str = ""
     attempts: int = 1
-    timed_out: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - formatting aid
-        cause = "timed out" if self.timed_out else self.error
-        return f"task {self.index} failed after {self.attempts} attempt(s): {cause}"
+        return f"task {self.index} failed after {self.attempts} attempt(s): {self.error}"
 
 
 class TaskError(RuntimeError):
@@ -167,7 +154,7 @@ def partition_results(
 
 
 def _failure(index: int, config: object, exc: BaseException,
-             attempts: int, *, timed_out: bool = False) -> TaskFailure:
+             attempts: int) -> TaskFailure:
     return TaskFailure(
         index=index,
         config=config,
@@ -175,7 +162,6 @@ def _failure(index: int, config: object, exc: BaseException,
         traceback="".join(
             _traceback.format_exception(type(exc), exc, exc.__traceback__)),
         attempts=attempts,
-        timed_out=timed_out,
     )
 
 
@@ -185,14 +171,16 @@ def _run_serial_task(
     index: int,
     retries: int,
     on_error: str,
+    first_attempt: int = 1,
 ) -> Union[RunMetrics, TaskFailure]:
     """One task in-process, with the retry budget applied.
 
     Fatal errors (deterministic functions of the config — see
     :func:`repro.fleet.taxonomy.is_fatal`) fail on the first attempt;
-    only retryable ones consume the budget.
+    only retryable ones consume the budget.  A task rescued from a
+    broken pool starts on ``first_attempt``, the attempt it was on.
     """
-    for attempt in range(1, retries + 2):
+    for attempt in range(first_attempt, retries + 2):
         try:
             return runner(config)
         except Exception as exc:
@@ -252,7 +240,6 @@ def run_many(
     label: str = "run_many",
     on_error: str = "raise",
     retries: int = 0,
-    timeout: Optional[float] = None,
     cache=None,
     chunksize: Optional[int] = None,
     fleet_dir=None,
@@ -278,16 +265,13 @@ def run_many(
         the sweep (see :func:`partition_results`).
     retries:
         Extra attempts per task before it counts as failed (default 0).
-    timeout:
-        Per-task running-time bound in seconds (parallel mode only; see
-        the module docstring for semantics and caveats).
     cache:
         Optional :class:`~repro.cache.ResultCache`; hits are resolved
         up front and misses written back on completion (see the module
         docstring).
     chunksize:
         Tasks per worker round-trip; ``None`` picks automatically
-        (1 for small batches or when ``timeout`` is armed).
+        (1 for small batches).
     fleet_dir:
         Route the sweep through the crash-resilient fleet fabric
         (:mod:`repro.fleet`) instead of an in-process pool: cells are
@@ -295,15 +279,13 @@ def run_many(
         processes, and survive worker SIGKILL / machine loss — a
         rerun with the same directory resumes with zero recomputation.
         Requires ``cache``; ``processes`` becomes the worker count
-        (``0`` → one inline worker), ``timeout``/``chunksize`` do not
-        apply, and ``retries`` maps to the fleet's attempt budget.
+        (``0`` → one inline worker), ``chunksize`` does not apply, and
+        ``retries`` maps to the fleet's attempt budget.
     """
     if on_error not in ("raise", "record"):
         raise ConfigError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     if retries < 0:
         raise ConfigError(f"retries must be >= 0, got {retries!r}")
-    if timeout is not None and timeout <= 0:
-        raise ConfigError(f"timeout must be positive, got {timeout!r}")
     if chunksize is not None and chunksize < 1:
         raise ConfigError(f"chunksize must be >= 1, got {chunksize!r}")
     configs = list(configs)
@@ -342,18 +324,19 @@ def run_many(
 
     if processes is None:
         processes = min(os.cpu_count() or 1, len(todo))
+    serial = [(i, 1) for i in todo]
     if processes > 1 and len(todo) > 1:
-        todo = _run_pool(
+        serial = _run_pool(
             configs, todo, results, processes, runner, books,
-            on_error=on_error, retries=retries, timeout=timeout,
-            chunksize=chunksize,
+            on_error=on_error, retries=retries, chunksize=chunksize,
         )
     # The in-process path: serial by request, or whatever the pool could
     # not run (no worker processes here, or the pool broke mid-flight).
-    for i in todo:
+    for i, attempt in serial:
         results[i] = books.record(
             i, configs[i],
-            _run_serial_task(runner, configs[i], i, retries, on_error))
+            _run_serial_task(runner, configs[i], i, retries, on_error,
+                             attempt))
     return results
 
 
@@ -398,11 +381,7 @@ def _run_fleet_backend(
     return result.results
 
 
-def _auto_chunksize(n_tasks: int, processes: int,
-                    timeout: Optional[float]) -> int:
-    if timeout is not None:
-        # timeout bounds one submitted unit; keep units = single tasks
-        return 1
+def _auto_chunksize(n_tasks: int, processes: int) -> int:
     return max(1, min(_MAX_CHUNK, n_tasks // (processes * _CHUNK_WAVES)))
 
 
@@ -416,22 +395,21 @@ def _run_pool(
     *,
     on_error: str,
     retries: int,
-    timeout: Optional[float],
     chunksize: Optional[int],
-) -> list[int]:
-    """The parallel path: chunking, retries, timeouts.  Returns the
-    tasks it could not run, for the caller's serial loop (pool fallback)."""
+) -> list[tuple[int, int]]:
+    """The parallel path: chunking and retries.  Returns the tasks it
+    could not run, each with the attempt it was on, for the caller's
+    serial loop (pool fallback)."""
     try:
         pool = ProcessPoolExecutor(max_workers=processes)
     except (OSError, ImportError, NotImplementedError):
         # No worker processes on this platform/sandbox: degrade to serial.
-        return todo
+        return [(i, 1) for i in todo]
     if chunksize is None:
-        chunksize = _auto_chunksize(len(todo), processes, timeout)
+        chunksize = _auto_chunksize(len(todo), processes)
     attempts = {i: 1 for i in todo}
-    started: dict[Future, Optional[float]] = {}
     pending: dict[Future, tuple[int, ...]] = {}
-    any_timeout = False
+    interrupted = False
 
     def submit(idxs: tuple[int, ...]) -> None:
         if len(idxs) == 1:
@@ -441,17 +419,16 @@ def _run_pool(
         else:
             fut = pool.submit(_run_chunk, runner, [configs[i] for i in idxs])
         pending[fut] = idxs
-        started[fut] = None
 
     def finish(idx: int, result) -> None:
         results[idx] = books.record(idx, configs[idx], result)
 
     def settle(failure: TaskFailure, exc: BaseException, fatal: bool) -> None:
         """The failed-attempt rule, for every way an attempt can fail
-        (raised future, chunk item, timeout): retry while budget remains
-        and the error is retryable — fatal errors are deterministic
-        functions of the config and never retry — else raise ``exc`` or
-        record ``failure``, as ``on_error`` says."""
+        (raised future, chunk item): retry while budget remains and the
+        error is retryable — fatal errors are deterministic functions
+        of the config and never retry — else raise ``exc`` or record
+        ``failure``, as ``on_error`` says."""
         idx = failure.index
         if attempts[idx] <= retries and not fatal:
             attempts[idx] += 1
@@ -466,22 +443,20 @@ def _run_pool(
         for pos in range(0, len(todo), chunksize):
             submit(tuple(todo[pos:pos + chunksize]))
         while pending:
-            done, _ = wait(set(pending), timeout=_wait_budget(
-                pending, started, timeout), return_when=FIRST_COMPLETED)
-            now = time.monotonic()
+            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
             for fut in done:
                 idxs = pending.pop(fut)
-                started.pop(fut, None)
                 try:
                     payload = fut.result()
                 except BrokenProcessPool:
                     # The pool is dead (a worker was killed); rescue every
-                    # unfinished task — this unit included — serially.
+                    # unfinished task — this unit included — serially,
+                    # each on the attempt the pool was running.
                     rest = list(idxs)
                     for other in pending.values():
                         rest.extend(other)
                     pending.clear()
-                    return sorted(rest)
+                    return [(i, attempts[i]) for i in sorted(rest)]
                 except Exception as exc:
                     # A single task's exception, or a chunk that failed
                     # wholesale (e.g. its result would not pickle):
@@ -502,38 +477,6 @@ def _run_pool(
                             item.fatal)
                     else:
                         finish(idx, item)
-            if timeout is None:
-                continue
-            # Clock units from when a worker picked them up, not from
-            # submission, so queueing behind a full pool never counts.
-            for fut in list(pending):
-                if started[fut] is None and fut.running():
-                    started[fut] = now
-                began = started[fut]
-                if began is None or now - began <= timeout:
-                    continue
-                idxs = pending.pop(fut)
-                started.pop(fut, None)
-                fut.cancel()  # running futures ignore this; slot is lost
-                any_timeout = True
-                get_registry().counter(
-                    "repro_runner_timeouts_total",
-                    "Submitted units that exceeded the per-task timeout.",
-                    volatile=True).inc()
-                if len(idxs) > 1:
-                    # A multi-task chunk timed out as a unit, but at most
-                    # one of its tasks need be hung: resubmit each as its
-                    # own single (no attempt consumed) so the hung one
-                    # times out alone and its chunk-mates still complete.
-                    for idx in idxs:
-                        submit((idx,))
-                    continue
-                timeout_exc = TimeoutError(
-                    f"task exceeded timeout={timeout:g}s")
-                for idx in idxs:
-                    settle(_failure(idx, configs[idx], timeout_exc,
-                                    attempts[idx], timed_out=True),
-                           timeout_exc, is_fatal(timeout_exc))
         return []
     except (KeyboardInterrupt, SystemExit):
         # Interrupted mid-sweep: futures that already completed hold
@@ -541,12 +484,11 @@ def _run_pool(
         # into the result slots (and the cache) before propagating, so
         # Ctrl-C loses at most the tasks still in flight.
         _harvest_finished(pending, configs, results, books)
-        any_timeout = True  # don't block shutdown on still-running tasks
+        interrupted = True
         raise
     finally:
-        # A hung worker would block a waiting shutdown forever; abandon
-        # the pool instead once any task has timed out.
-        pool.shutdown(wait=not any_timeout, cancel_futures=True)
+        # An interrupted sweep does not wait for the tasks in flight.
+        pool.shutdown(wait=not interrupted, cancel_futures=True)
 
 
 def _harvest_finished(
@@ -573,62 +515,3 @@ def _harvest_finished(
         for idx, item in zip(idxs, items):
             if not isinstance(item, _ChunkItemError):
                 results[idx] = books.record(idx, configs[idx], item)
-
-
-def _wait_budget(
-    pending: dict[Future, tuple[int, ...]],
-    started: dict[Future, Optional[float]],
-    timeout: Optional[float],
-) -> Optional[float]:
-    """How long the pool loop may sleep before it must look around.
-
-    Without an armed ``timeout`` there is nothing to police: block
-    until a future completes (None → fully event-driven, no wake-ups).
-    With one, sleep exactly until the earliest running unit's deadline;
-    while any unit is still queued, cap the sleep at a short poll so
-    its queued→running transition is noticed promptly.
-    """
-    if timeout is None:
-        return None
-    now = time.monotonic()
-    deadlines = [began + timeout for began in started.values()
-                 if began is not None]
-    waiting_to_start = any(started[fut] is None for fut in pending)
-    if not deadlines:
-        return _POLL_INTERVAL if waiting_to_start else None
-    budget = max(0.0, min(deadlines) - now)
-    if waiting_to_start:
-        budget = min(budget, _POLL_INTERVAL)
-    return budget
-
-
-def sweep(
-    base: ScenarioConfig,
-    axis: str,
-    values: Iterable,
-    *,
-    processes: Optional[int] = None,
-    progress: Union[bool, ProgressReporter] = False,
-    on_error: str = "raise",
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    cache=None,
-    chunksize: Optional[int] = None,
-    fleet_dir=None,
-    **fixed,
-) -> list[tuple[object, RunMetrics]]:
-    """Vary one config field over ``values`` (other overrides in ``fixed``).
-
-    Returns ``[(value, metrics), ...]`` in value order; with
-    ``on_error="record"`` a crashed run's metrics slot holds its
-    :class:`TaskFailure` instead.  ``cache``/``chunksize``/``fleet_dir``
-    pass through to :func:`run_many`.
-    """
-    values = list(values)
-    configs = [base.with_(**{axis: v}, **fixed) for v in values]
-    results = run_many(configs, processes=processes, progress=progress,
-                       label=f"sweep:{axis}", on_error=on_error,
-                       retries=retries, timeout=timeout,
-                       cache=cache, chunksize=chunksize,
-                       fleet_dir=fleet_dir)
-    return list(zip(values, results))

@@ -9,9 +9,9 @@ and makes whole runs self-describing:
   bounded buffering (post-mortem analysis, ``repro trace summarize``)
   and counts them per kind for the run manifest;
 * :class:`TeeTracer` — fans one trace stream out to several sinks;
-* :func:`~repro.obs.telemetry.peak_rss_bytes` — the peak-memory read
-  behind ``ScenarioConfig.telemetry`` (``run_scenario`` derives wall
-  time, events/sec and the sim-time/wall-time ratio from its own clock);
+* run telemetry (``ScenarioConfig.telemetry``) has no module here:
+  ``run_scenario`` derives wall time, events/sec, the sim-time/wall-time
+  ratio and peak memory from reads outside its event loop;
 * :func:`build_manifest` / :func:`write_manifest` — ``manifest.json``
   beside every export, recording exactly what produced it;
 * :class:`ProgressReporter` — heartbeat + ETA for multi-run sweeps

@@ -199,8 +199,8 @@ def test_cache_flags_parse():
     parser = build_parser()
     args = parser.parse_args(["run"])
     assert args.cache is False and args.cache_dir is None
-    args = parser.parse_args(["sweep", "--cache", "--chunksize", "4"])
-    assert args.cache is True and args.chunksize == 4
+    args = parser.parse_args(["sweep", "--cache"])
+    assert args.cache is True
     args = parser.parse_args(["run", "--no-cache"])
     assert args.cache is False
     args = parser.parse_args(["figure", "fig10", "--cache-dir", "/tmp/c"])

@@ -34,7 +34,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments import (
     asymmetry, deadline_agnostic, largescale, testbed, workloads)
-from repro.experiments.runner import run_many, sweep
+from repro.experiments.runner import run_many
 from repro.fleet import run_fleet
 
 _AXES = ["--schemes", "tlb", "ecmp", "--loads", "0.5", "0.3",
@@ -185,7 +185,7 @@ def _option_surface(parser: argparse.ArgumentParser, prefix: str = "repro"):
 
 def _signatures() -> dict:
     return {fn.__name__: list(inspect.signature(fn).parameters)
-            for fn in (run_many, sweep, run_fleet)}
+            for fn in (run_many, run_fleet)}
 
 
 # -- recorded at b16ecc6 -----------------------------------------------------
@@ -240,7 +240,7 @@ OPTION_SURFACE = {'repro': ['--help', '--version', '-h'],
                '--scheme', '--seed', '--short-flows', '--sizes', '--spans',
                '--telemetry', '--trace', '--workload', '-h'],
  'repro schemes': ['--help', '-h'],
- 'repro sweep': ['--cache', '--cache-dir', '--chunksize', '--csv', '--faults',
+ 'repro sweep': ['--cache', '--cache-dir', '--csv', '--faults',
                  '--flows', '--help', '--loads', '--no-cache', '--processes',
                  '--progress', '--retries', '--schemes', '--seed', '--sizes',
                  '--workload', '-h'],
@@ -252,10 +252,7 @@ SIGNATURES = {'run_fleet': ['configs', 'fleet_dir', 'cache', 'workers', 'runner'
                'max_attempts', 'max_reclaims', 'backoff_base', 'lease_ttl',
                'poll', 'on_status', 'status_interval', 'clock'],
  'run_many': ['configs', 'processes', 'runner', 'progress', 'label',
-              'on_error', 'retries', 'timeout', 'cache', 'chunksize',
-              'fleet_dir'],
- 'sweep': ['base', 'axis', 'values', 'processes', 'progress', 'on_error',
-           'retries', 'timeout', 'cache', 'chunksize', 'fleet_dir', 'fixed']}
+              'on_error', 'retries', 'cache', 'chunksize', 'fleet_dir']}
 
 
 @pytest.mark.parametrize("command", COMMANDS)

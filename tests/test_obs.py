@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments.common import _peak_rss_bytes
 from repro.obs import (
     JsonlTracer,
     ProgressReporter,
@@ -15,7 +16,6 @@ from repro.obs import (
     summarize_trace,
     write_manifest,
 )
-from repro.obs.telemetry import peak_rss_bytes
 from repro.sim.engine import Simulator
 from repro.sim.trace import NullTracer, RecordingTracer
 
@@ -127,7 +127,7 @@ def test_tee_close_propagates(tmp_path):
 
 
 def test_peak_rss_is_positive_when_available():
-    rss = peak_rss_bytes()
+    rss = _peak_rss_bytes()
     assert rss is None or rss > 1_000_000
 
 

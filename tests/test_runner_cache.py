@@ -165,10 +165,9 @@ def test_chunksize_validation():
 
 
 def test_auto_chunksize():
-    assert _auto_chunksize(100, 4, None) == 6
-    assert _auto_chunksize(10, 8, None) == 1      # small batch → singles
-    assert _auto_chunksize(10_000, 4, None) == 16  # capped at _MAX_CHUNK
-    assert _auto_chunksize(100, 4, 5.0) == 1       # timeout arms → singles
+    assert _auto_chunksize(100, 4) == 6
+    assert _auto_chunksize(10, 8) == 1      # small batch → singles
+    assert _auto_chunksize(10_000, 4) == 16  # capped at _MAX_CHUNK
 
 
 def test_chunked_pool_preserves_order(tmp_path):

@@ -1,4 +1,4 @@
-"""run_many resilience: crash isolation, retries, timeouts, fallback.
+"""run_many resilience: crash isolation, retries, fallback.
 
 The runners below are module-level so they pickle into worker
 processes; "configs" are plain strings/tuples (run_many never inspects
@@ -6,7 +6,6 @@ them beyond passing them to the runner).
 """
 
 import os
-import time
 from dataclasses import dataclass
 
 import pytest
@@ -44,19 +43,11 @@ def _crash_in_worker(config):
     return tag
 
 
-def _sleepy(config):
-    if config == "slow":
-        time.sleep(2.0)
-    return config
-
-
 def test_parameter_validation():
     with pytest.raises(ConfigError):
         run_many(["a"], runner=_echo, on_error="ignore")
     with pytest.raises(ConfigError):
         run_many(["a"], runner=_echo, retries=-1)
-    with pytest.raises(ConfigError):
-        run_many(["a"], runner=_echo, timeout=0)
 
 
 def test_serial_record_preserves_partial_results():
@@ -69,7 +60,7 @@ def test_serial_record_preserves_partial_results():
     assert failure.config == "bad"
     assert "ValueError: boom" in failure.error
     assert "boom" in failure.traceback
-    assert failure.attempts == 1 and not failure.timed_out
+    assert failure.attempts == 1
     ok, bad = partition_results(results)
     assert ok == ["a", "c"] and bad == [failure]
 
@@ -119,13 +110,36 @@ def test_pool_worker_crash_rescues_remaining_tasks_serially():
     assert results == ["a", "die", "c", "d"]
 
 
-def test_pool_timeout_records_timed_out_failure():
-    results = run_many(["fast1", "slow", "fast2"], processes=2,
-                       runner=_sleepy, timeout=0.4, on_error="record")
-    assert results[0] == "fast1" and results[2] == "fast2"
-    assert isinstance(results[1], TaskFailure)
-    assert results[1].timed_out
-    assert "timeout" in results[1].error
+def _fail_then_crash(config):
+    """Attempt 1 raises a retryable error in a worker, attempt 2 kills
+    its worker, and any run in the parent process raises again.  The
+    call log counts invocations across processes."""
+    tag, parent, log = config
+    if tag != "flaky":
+        return tag
+    with open(log, "a") as fh:
+        fh.write("call\n")
+    if os.getpid() != parent and _count_lines(log) == 2:
+        os._exit(1)
+    raise OSError("transient")
+
+
+def test_serial_rescue_keeps_the_task_retry_budget(tmp_path):
+    """The serial rescue of a broken pool resumes a task on the attempt
+    the pool killed; it does not grant a fresh budget.  With retries=1:
+    attempt 1 raises in a worker, attempt 2 kills its worker and is run
+    again serially, uncharged — three invocations, two attempts."""
+    log = str(tmp_path / "calls.log")
+    parent = os.getpid()
+    configs = [("a", parent, log), ("flaky", parent, log)]
+    results = run_many(configs, processes=2, runner=_fail_then_crash,
+                       on_error="record", retries=1)
+    assert results[0] == "a"
+    failure = results[1]
+    assert isinstance(failure, TaskFailure)
+    assert "OSError: transient" in failure.error
+    assert failure.attempts == 2
+    assert _count_lines(log) == 3
 
 
 def test_pool_creation_failure_falls_back_to_serial(monkeypatch):
@@ -236,22 +250,3 @@ def test_pool_interrupt_harvests_finished_results_into_cache(
         run_many(configs, processes=2, runner=_echo, cache=cache)
     # every computed result made it to the cache despite the interrupt
     assert [cache.get(c) for c in configs] == configs
-
-
-# -- chunk timeout isolation -------------------------------------------------
-
-def test_chunk_timeout_isolates_hung_item(tmp_path):
-    """With chunksize>1 and a timeout armed, a hung task must fail
-    alone: its chunk-mates are resubmitted as singles (no attempt
-    consumed) and still complete.
-
-    Three workers so the resubmitted singles never queue behind the
-    hung one (a queued task can be misattributed as running by the
-    pool's call-queue buffering and would falsely time out)."""
-    results = run_many(["fast1", "slow", "fast2"], processes=3,
-                       runner=_sleepy, timeout=0.4, on_error="record",
-                       chunksize=3)
-    assert results[0] == "fast1" and results[2] == "fast2"
-    assert isinstance(results[1], TaskFailure)
-    assert results[1].timed_out
-    assert results[1].attempts == 1  # the chunk round cost no attempts

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.common import ScenarioConfig, run_scenario, run_scenario_metrics
 from repro.experiments.report import format_table, fmt
-from repro.experiments.runner import run_many, sweep
+from repro.experiments.runner import run_many
 from repro.units import KB
 
 
@@ -138,13 +138,6 @@ def test_run_many_parallel_matches_serial():
 
 def test_run_many_empty():
     assert run_many([]) == []
-
-
-def test_sweep_pairs_values_with_results():
-    base = ScenarioConfig(scheme="ecmp", **SMALL)
-    out = sweep(base, "seed", [1, 2], processes=0)
-    assert [v for v, _ in out] == [1, 2]
-    assert out[0][1].short_fct.mean != out[1][1].short_fct.mean
 
 
 # -- report --------------------------------------------------------------------
