@@ -18,14 +18,18 @@ import argparse
 
 import numpy as np
 
+from repro.experiments import ScenarioConfig
 from repro.experiments.report import format_table
 from repro.lb import attach_scheme
 from repro.net.topology import build_two_leaf_fabric
 from repro.obs import FlightRecorder
 from repro.transport.flow import FlowRegistry
-from repro.units import KB, MB
-from repro.workload.generator import StaticWorkload
-from repro.workload.incast import IncastWorkload, request_completion_times
+from repro.units import MB
+from repro.workload.generator import install_flows
+from repro.workload.scenarios import parse_scenario
+
+#: the incast flows' ids start here, clear of the background flows'
+INCAST_BASE_ID = 10_000
 
 
 def parse_args() -> argparse.Namespace:
@@ -42,26 +46,43 @@ def parse_args() -> argparse.Namespace:
     return p.parse_args()
 
 
+def completion_times(incast, registry: FlowRegistry,
+                     n_requests: int) -> np.ndarray:
+    """Per-request completion times (last response landed − request
+    epoch); NaN for an unfinished request.  Request ``r`` of an
+    ``incast:`` spec owns ids ``[r·fanin, (r+1)·fanin)`` past the base id
+    and starts at ``r·period``."""
+    out = []
+    for r in range(n_requests):
+        first = INCAST_BASE_ID + r * incast.fanin
+        done = [registry.stats(fid).completed
+                for fid in range(first, first + incast.fanin)]
+        out.append(np.nan if None in done else max(done) - r * incast.period)
+    return np.asarray(out, dtype=float)
+
+
 def run_scheme(args, scheme: str) -> dict:
     net = build_two_leaf_fabric(
         n_paths=args.paths, hosts_per_leaf=max(args.fanout + 4, 16),
         seed=args.seed)
     attach_scheme(net, scheme)
     registry = FlowRegistry()
+    # the static kind's long flows are the background elephants; every
+    # response carries a 10 ms deadline
+    config = ScenarioConfig(n_short=0, n_long=args.background,
+                            long_size=MB(5), deadline_lo=0.010,
+                            deadline_hi=0.010)
     if args.background:
-        StaticWorkload(
-            net, registry, n_short=0, n_long=args.background,
-            long_size=MB(5), short_window=1.0).install()
-    incast = IncastWorkload(
-        net, registry,
-        n_requests=args.requests, fanout=args.fanout,
-        response_size=KB(args.response_kb), request_interval=0.008,
-        deadline=0.010, flow_id_base=10_000)
-    incast.install()
+        parse_scenario("static").install(net, registry, config)
+    incast = parse_scenario(
+        f"incast:fanin={args.fanout},period=8ms,size={args.response_kb:g}KB,"
+        f"requests={args.requests}")
+    install_flows(net, registry,
+                  incast.generate(net, config, base_id=INCAST_BASE_ID))
     recorder = FlightRecorder(cadence=0.001).attach(
         net, ports=net.uplink_ports(net.leaves[0]))
     net.sim.run(until=2.0)
-    rct = request_completion_times(incast, registry)
+    rct = completion_times(incast, registry, args.requests)
     finite = rct[np.isfinite(rct)]
     misses = sum(
         1 for s in registry.all_stats()

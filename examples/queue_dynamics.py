@@ -20,13 +20,14 @@ Usage::
 
 import argparse
 
+from repro.experiments import ScenarioConfig
 from repro.lb import attach_scheme
 from repro.net.topology import build_two_leaf_fabric
 from repro.obs import FlightRecorder
 from repro.transport.flow import FlowRegistry
-from repro.units import KB, MB, microseconds
+from repro.units import MB, microseconds
 from repro.viz import sparkline
-from repro.workload.generator import StaticWorkload
+from repro.workload.scenarios import parse_scenario
 
 SCENARIOS = [
     ("flow-level", "fixed", {"granularity_bytes": None}),
@@ -55,12 +56,11 @@ def run_one(args, label: str, scheme: str, params: dict) -> None:
     recorder = FlightRecorder(cadence=100e-6).attach(
         net, ports=net.uplink_ports(net.leaves[0]))
     registry = FlowRegistry()
-    StaticWorkload(
-        net, registry, n_short=args.shorts, n_long=args.longs,
-        long_size=MB(10),
+    config = ScenarioConfig(
+        n_short=args.shorts, n_long=args.longs, long_size=MB(10),
         short_window=args.window_ms / 2e3,  # burst in the first half
-        distinct_hosts=True,
-    ).install()
+        distinct_hosts=True)
+    parse_scenario("static").install(net, registry, config)
     net.sim.run(until=args.window_ms * 1e-3)
     recorder.stop()
 

@@ -136,28 +136,20 @@ def _add_grid_args(parser: argparse.ArgumentParser, *, progress_help: str,
     parser.add_argument("--progress", action="store_true", help=progress_help)
 
 
-def _reads_load_axis(workload: str) -> bool:
-    """Whether ``ScenarioConfig.load`` reaches ``workload``'s flows (a spec
-    with its own ``load=``, ``static``, ``incast:``, ``diurnal:`` ignore it)."""
-    from repro.workload.scenarios import LEGACY_WORKLOADS, parse_scenario
-
-    if workload in LEGACY_WORKLOADS:
-        return workload == "poisson"
-    return parse_scenario(workload).reads_load_axis()
-
-
 def _grid_configs(args: argparse.Namespace) -> list:
     """The cells the grid flags describe, in grid order."""
+    from repro.errors import ConfigError
     from repro.experiments.largescale import default_config, load_grid
+    from repro.workload.scenarios import parse_scenario
 
     config = default_config(args.sizes, n_flows=args.flows, seed=args.seed)
     if args.workload:
         # Scenario grids need a multi-leaf fabric for cross-leaf skew.
         config = config.with_(workload=args.workload, n_leaves=4,
                               hosts_per_leaf=16)
-        if len(set(args.loads)) > 1 and not _reads_load_axis(args.workload):
-            from repro.errors import ConfigError
-
+        # a spec with its own load=, static, incast:, diurnal: ignore it
+        if (len(set(args.loads)) > 1
+                and not parse_scenario(args.workload).reads_load_axis()):
             raise ConfigError(
                 f"--loads {' '.join(f'{l:g}' for l in args.loads)}: workload"
                 f" {args.workload!r} does not read the load axis, so every"
@@ -183,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario")
     run.add_argument("--scheme", default="tlb")
     run.add_argument("--workload", default="static", metavar="SPEC",
-                     help="'static', 'poisson', or a scenario spec such as"
-                     " 'zipf:s=1.2' or 'incast:fanin=40,period=10ms'"
+                     help="a scenario spec: 'static' (the §4.2"
+                     " microbenchmark, sized by --short-flows/--long-flows),"
+                     " 'poisson', 'trace:file=PATH', 'zipf:s=1.2', ..."
                      " (see `repro workloads`)")
     # poisson-only knobs default to None so we can tell "explicitly
     # passed" from "defaulted" and warn under --workload static.
@@ -390,13 +383,17 @@ def _cmd_workloads() -> int:
         EXAMPLE_SPECS, SCENARIO_ALIASES, SCENARIO_KINDS)
 
     print("scenario kinds (spec grammar: kind:key=value,key=value;"
-          " a bare name is read from the config, cdf's file is required):")
+          " a bare name is read from the config, cdf's and trace's file"
+          " is required):")
+    # the two kinds without key=value parameters say what they read instead
+    bare = {"mix": "NAME@WEIGHT+NAME@WEIGHT...",
+            "static": "(no parameters; sized by the config's n_short,"
+                      " n_long, ...)"}
     for kind, cls in sorted(SCENARIO_KINDS.items()):
-        # mix has no key=value parameters: its grammar is the example
         params = " ".join(
             name if default is None else f"{name}={default:g}"
             for name, (_, default, _) in cls.PARAMS.items()
-        ) or "NAME@WEIGHT+NAME@WEIGHT..."
+        ) or bare.get(kind, "")
         example = EXAMPLE_SPECS.get(kind)
         suffix = f"  e.g. {example}" if example else ""
         print(f"  {kind:<8} {params}{suffix}")

@@ -29,15 +29,13 @@ from repro.transport.dctcp import DctcpSender
 from repro.transport.flow import FlowRegistry
 from repro.transport.tcp import TcpConfig, TcpSender
 from repro.units import Gbps, KB, MB, microseconds
-from repro.workload.deadlines import UniformDeadlines
 from repro.workload.distributions import (
     NAMED_DISTRIBUTIONS,
     FlowSizeDistribution,
-    UniformSize,
     named_distribution,
 )
-from repro.workload.generator import PoissonWorkload, StaticWorkload, WorkloadResult
-from repro.workload.scenarios import LEGACY_WORKLOADS, parse_scenario
+from repro.workload.generator import WorkloadResult
+from repro.workload.scenarios import canonical_workload, parse_scenario
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario", "run_scenario_metrics"]
 
@@ -81,8 +79,9 @@ class ScenarioConfig:
     fault_detection_delay: float = 0.0
 
     # workload ------------------------------------------------------------
-    #: ``"static"`` | ``"poisson"`` | a :mod:`repro.workload.scenarios`
-    #: spec, e.g. ``"zipf:s=1.2"`` or ``"mix:tenantA@0.7+incast@0.3"``
+    #: a :mod:`repro.workload.scenarios` spec: ``"static"`` (the fields
+    #: below), ``"poisson"`` (sizes/load/n_flows), ``"trace:file=PATH"``,
+    #: ``"zipf:s=1.2"``, ``"mix:tenantA@0.7+incast@0.3"``, ...
     workload: str = "static"
     # static:
     n_short: int = 100
@@ -133,11 +132,11 @@ class ScenarioConfig:
     short_threshold: int = KB(100)
 
     def __post_init__(self) -> None:
-        if self.workload not in LEGACY_WORKLOADS:
-            # Parse eagerly (like the fault spec below) so a malformed
-            # scenario — or a missing CDF trace file — fails at config
-            # time, not inside a worker process half-way through a sweep.
-            parse_scenario(self.workload)
+        # Parse eagerly (like the fault spec below) so a malformed
+        # scenario — or a missing trace file — fails at config time, not
+        # inside a worker process half-way through a sweep (memoised per
+        # spec string unless the spec reads files).
+        canonical_workload(self.workload)
         if self.transport not in _TRANSPORTS:
             raise ConfigError(f"unknown transport {self.transport!r}")
         if self.workload != "static" and self.sizes not in _SIZE_DISTRIBUTIONS:
@@ -224,38 +223,9 @@ def _build_network(config: ScenarioConfig, tracer) -> Network:
 
 
 def _install_workload(config: ScenarioConfig, net, registry) -> WorkloadResult:
-    sender_cls = _TRANSPORTS[config.transport]
-    deadlines = UniformDeadlines(
-        config.deadline_lo, config.deadline_hi, config.short_threshold)
-    if config.workload == "static":
-        wl = StaticWorkload(
-            net, registry,
-            n_short=config.n_short,
-            n_long=config.n_long,
-            short_sizes=UniformSize(config.short_size_lo, config.short_size_hi),
-            long_size=config.long_size,
-            short_window=config.short_window,
-            deadlines=deadlines,
-            sender_cls=sender_cls,
-            tcp_config=config.tcp_config(),
-            distinct_hosts=config.distinct_hosts,
-        )
-    elif config.workload == "poisson":
-        wl = PoissonWorkload(
-            net, registry,
-            sizes=config.size_distribution(),
-            load=config.load,
-            n_flows=config.n_flows,
-            deadlines=deadlines,
-            sender_cls=sender_cls,
-            tcp_config=config.tcp_config(),
-        )
-    else:
-        scenario = parse_scenario(config.workload)
-        return scenario.install(net, registry, config,
-                                sender_cls=sender_cls,
-                                tcp_config=config.tcp_config())
-    return wl.install()
+    return parse_scenario(config.workload).install(
+        net, registry, config, sender_cls=_TRANSPORTS[config.transport],
+        tcp_config=config.tcp_config())
 
 
 def _peak_rss_bytes() -> Optional[int]:

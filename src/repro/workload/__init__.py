@@ -8,12 +8,14 @@ very traffic mix TLB exploits.
 
 :mod:`repro.workload.distributions` encodes them as piecewise-linear CDFs
 with vectorised inverse-transform sampling; :mod:`repro.workload.generator`
-turns a distribution plus a target load into scheduled flows on a built
-network; :mod:`repro.workload.deadlines` draws the short flows' deadlines;
-:mod:`repro.workload.scenarios` grows the vocabulary into a spec-string
-registry (empirical CDF files, Zipf popularity, incast fan-ins, diurnal
-curves, hotspots, multi-tenant mixes) addressable from
-``ScenarioConfig.workload`` and the result cache.
+holds the installer and the paper's two draws (the §4.2 microbenchmark,
+the §6.2 Poisson pair process); :mod:`repro.workload.deadlines` draws the
+short flows' deadlines; :mod:`repro.workload.traces` saves flow lists as
+CSV.  :mod:`repro.workload.scenarios` is the one way a run gets its
+flows: a spec-string registry (``static``, ``poisson``, replayed traces,
+empirical CDF files, Zipf popularity, incast fan-ins, diurnal curves,
+hotspots, multi-tenant mixes) addressable from ``ScenarioConfig.workload``
+and the result cache.
 """
 
 from repro.workload.distributions import (
@@ -43,8 +45,7 @@ from repro.workload.generator import (
     WorkloadResult,
     install_flows,
 )
-from repro.workload.incast import IncastWorkload, request_completion_times
-from repro.workload.traces import TraceWorkload, read_trace, write_trace
+from repro.workload.traces import read_trace, write_trace
 
 __all__ = [
     "FlowSizeDistribution",
@@ -58,9 +59,6 @@ __all__ = [
     "StaticWorkload",
     "WorkloadResult",
     "install_flows",
-    "IncastWorkload",
-    "request_completion_times",
-    "TraceWorkload",
     "read_trace",
     "write_trace",
     "NAMED_DISTRIBUTIONS",

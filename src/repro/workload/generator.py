@@ -1,23 +1,24 @@
-"""Workload installation: turn distributions into scheduled flows.
+"""Workload installation: turn flow lists into scheduled senders.
 
-Two generators cover the paper's scenarios:
+A workload is a flow list: every scenario kind of
+:mod:`repro.workload.scenarios` builds a ``list[Flow]`` for
+:func:`install_flows`.  This module holds that installer and the draws
+the paper's two traffic shapes are made of:
 
-* :class:`StaticWorkload` — the §2.2/§4.2/§6.1 microbenchmark: a fixed
-  number of long flows starting at t=0 from leaf-0 senders, plus a fixed
-  number of short flows arriving as a Poisson stream, all towards leaf-1
-  receivers.
-* :class:`PoissonWorkload` — the §6.2 large-scale pattern: flows arrive
-  by a Poisson process between random host pairs on different leaves,
-  with sizes from a heavy-tailed distribution and the aggregate rate set
-  by a target load (fraction of aggregate edge bandwidth).
+* :func:`static_flows` — the §2.2/§4.2/§6.1 microbenchmark (the
+  ``static`` kind): a fixed number of long flows starting at t=0 from
+  leaf-0 senders, plus a fixed number of short flows arriving as a
+  Poisson stream, all towards leaf-1 receivers;
+* the §6.2 pair process (the ``poisson`` kind and its family): flows
+  arrive by a Poisson process between random host pairs on different
+  leaves, with sizes from a heavy-tailed distribution and the aggregate
+  rate set by a target load.
 
-Both draw every random quantity from named RNG streams of the network's
-registry, so workloads are identical across schemes compared at the same
-seed (paired comparisons).
-
-A workload is a flow list: these generators and every scenario kind of
-:mod:`repro.workload.scenarios` build a ``list[Flow]`` for
-:func:`install_flows`, and share the one §6.2 pair process defined here.
+:class:`StaticWorkload` and :class:`PoissonWorkload` run the ``static``
+and bare ``poisson`` draws from explicit parameters (a distribution
+object, a flow-id base) instead of a config.  Every random quantity
+comes from named RNG streams of the network's registry, so workloads are
+identical across schemes compared at the same seed (paired comparisons).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from repro.workload.deadlines import UniformDeadlines
 from repro.workload.distributions import FlowSizeDistribution, UniformSize
 
 __all__ = ["WorkloadResult", "install_flows", "arrival_rate", "poisson_arrivals",
-           "cross_leaf_pairs", "make_flows", "PoissonWorkload", "StaticWorkload"]
+           "cross_leaf_pairs", "make_flows", "static_flows",
+           "PoissonWorkload", "StaticWorkload"]
 
 
 @dataclass
@@ -155,24 +157,87 @@ def make_flows(
     ]
 
 
-class StaticWorkload:
-    """Fixed mixture: ``n_long`` long flows at t=0 + ``n_short`` short
-    flows arriving Poisson over ``short_window`` seconds.
+def static_flows(
+    net: Network,
+    *,
+    n_short: int,
+    n_long: int,
+    short_sizes: FlowSizeDistribution,
+    long_size: int,
+    short_window: float,
+    deadlines: UniformDeadlines,
+    distinct_hosts: bool = False,
+    base_id: int = 0,
+    stream_prefix: str = "workload",
+) -> list[Flow]:
+    """The §2.2/§4.2/§6.1 microbenchmark: ``n_long`` long flows at t=0 +
+    ``n_short`` short flows arriving Poisson over ``short_window``.
 
     Senders are the hosts under the first leaf, receivers the hosts under
     the second (the §2.2 picture: all traffic crosses the spine tier).
-    Flow endpoints are drawn uniformly per flow.
-
-    Parameters mirror the paper's defaults: short sizes uniform
-    [40 KB, 100 KB] (mean 70 KB, all < 100 KB), long flows 10 MB,
-    deadlines uniform [5 ms, 25 ms] on short flows.
-
-    ``distinct_hosts=True`` gives every flow its own sender and its own
-    receiver ("each sender sends a DCTCP flow to a receiver", §2.2/§4.2)
-    so no two flows share an edge link — congestion then happens only in
-    the fabric, where the load balancer acts.  Requires at least
-    ``n_short + n_long`` hosts per leaf.
+    Flow endpoints are drawn uniformly per flow.  ``distinct_hosts=True``
+    gives every flow its own sender and its own receiver ("each sender
+    sends a DCTCP flow to a receiver", §2.2/§4.2) so no two flows share
+    an edge link — congestion then happens only in the fabric, where the
+    load balancer acts.  It needs ``n_short + n_long`` hosts per leaf.
     """
+    _check_static(net, n_short, n_long, short_window, distinct_hosts)
+    senders_pool = [h.name for h in net.hosts_under(net.leaves[0])]
+    receivers_pool = [h.name for h in net.hosts_under(net.leaves[1])]
+    rng_sizes = net.rngs.stream(f"{stream_prefix}.sizes")
+    rng_arrivals = net.rngs.stream(f"{stream_prefix}.arrivals")
+    rng_pairs = net.rngs.stream(f"{stream_prefix}.pairs")
+    rng_deadlines = net.rngs.stream(f"{stream_prefix}.deadlines")
+
+    n_flows = n_long + n_short
+    if distinct_hosts:
+        src_order = rng_pairs.permutation(len(senders_pool))[:n_flows]
+        dst_order = rng_pairs.permutation(len(receivers_pool))[:n_flows]
+        pairs = [(senders_pool[int(si)], receivers_pool[int(di)])
+                 for si, di in zip(src_order, dst_order)]
+    else:
+        pairs = [
+            (senders_pool[int(rng_pairs.integers(len(senders_pool)))],
+             receivers_pool[int(rng_pairs.integers(len(receivers_pool)))])
+            for _ in range(n_flows)
+        ]
+
+    # Long flows first, all at t=0 and deadline-free; the short flows
+    # follow as a Poisson stream over ``short_window``.
+    flows = make_flows(base_id, pairs[:n_long], [int(long_size)] * n_long,
+                       [0.0] * n_long, [None] * n_long)
+    if n_short:
+        sizes = short_sizes.sample(rng_sizes, n_short)
+        short_deadlines = deadlines.assign(rng_deadlines, sizes)
+        gaps = rng_arrivals.exponential(short_window / n_short, size=n_short)
+        flows += make_flows(base_id + n_long, pairs[n_long:], sizes,
+                            np.cumsum(gaps), short_deadlines)
+    return flows
+
+
+def _check_static(net: Network, n_short: int, n_long: int,
+                 short_window: float, distinct_hosts: bool) -> None:
+    """Reject a microbenchmark :func:`static_flows` cannot draw."""
+    if n_short < 0 or n_long < 0:
+        raise ConfigError("flow counts must be non-negative")
+    if n_short + n_long == 0:
+        raise ConfigError("workload needs at least one flow")
+    if short_window <= 0:
+        raise ConfigError("short_window must be positive")
+    if len(net.leaves) < 2:
+        raise ConfigError("static workload needs at least two leaves")
+    if distinct_hosts and n_short + n_long > net.config.hosts_per_leaf:
+        raise ConfigError(
+            f"distinct_hosts needs {n_short + n_long} hosts per leaf, "
+            f"fabric has {net.config.hosts_per_leaf}"
+        )
+
+
+class StaticWorkload:
+    """:func:`static_flows` from explicit parameters rather than a config
+    — the ``static`` scenario kind's draws, for callers that build a
+    fabric by hand.  Defaults are the paper's: short sizes uniform
+    [40 KB, 100 KB], long flows 10 MB, deadlines U[5 ms, 25 ms]."""
 
     def __init__(
         self,
@@ -190,87 +255,38 @@ class StaticWorkload:
         flow_id_base: int = 0,
         distinct_hosts: bool = False,
     ):
-        if n_short < 0 or n_long < 0:
-            raise ConfigError("flow counts must be non-negative")
-        if n_short + n_long == 0:
-            raise ConfigError("workload needs at least one flow")
-        if short_window <= 0:
-            raise ConfigError("short_window must be positive")
-        if len(net.leaves) < 2:
-            raise ConfigError("StaticWorkload needs at least two leaves")
-        if distinct_hosts and n_short + n_long > net.config.hosts_per_leaf:
-            raise ConfigError(
-                f"distinct_hosts needs {n_short + n_long} hosts per leaf, "
-                f"fabric has {net.config.hosts_per_leaf}"
-            )
-        self.distinct_hosts = distinct_hosts
+        _check_static(net, n_short, n_long, short_window, distinct_hosts)
         self.net = net
         self.registry = registry
-        self.n_short = n_short
-        self.n_long = n_long
-        self.short_sizes = short_sizes if short_sizes is not None else UniformSize(
-            KB(40), KB(100))
-        self.long_size = int(long_size)
-        self.short_window = float(short_window)
-        self.deadlines = deadlines if deadlines is not None else UniformDeadlines()
+        self.params = dict(
+            n_short=n_short, n_long=n_long,
+            short_sizes=short_sizes if short_sizes is not None
+            else UniformSize(KB(40), KB(100)),
+            long_size=long_size, short_window=float(short_window),
+            deadlines=deadlines if deadlines is not None else UniformDeadlines(),
+            distinct_hosts=distinct_hosts, base_id=int(flow_id_base))
         self.sender_cls = sender_cls
         self.tcp_config = tcp_config
-        self.flow_id_base = int(flow_id_base)
 
     def install(self) -> WorkloadResult:
         """Register flows, create senders, schedule starts."""
-        net = self.net
-        senders_pool = [h.name for h in net.hosts_under(net.leaves[0])]
-        receivers_pool = [h.name for h in net.hosts_under(net.leaves[1])]
-        rng_sizes = net.rngs.stream("workload.sizes")
-        rng_arrivals = net.rngs.stream("workload.arrivals")
-        rng_pairs = net.rngs.stream("workload.pairs")
-        rng_deadlines = net.rngs.stream("workload.deadlines")
-
-        n_flows = self.n_long + self.n_short
-        if self.distinct_hosts:
-            src_order = rng_pairs.permutation(len(senders_pool))[:n_flows]
-            dst_order = rng_pairs.permutation(len(receivers_pool))[:n_flows]
-            pairs = [(senders_pool[int(si)], receivers_pool[int(di)])
-                     for si, di in zip(src_order, dst_order)]
-        else:
-            pairs = [
-                (senders_pool[int(rng_pairs.integers(len(senders_pool)))],
-                 receivers_pool[int(rng_pairs.integers(len(receivers_pool)))])
-                for _ in range(n_flows)
-            ]
-
-        # Long flows first, all at t=0 and deadline-free; the short flows
-        # follow as a Poisson stream over ``short_window``.
-        n_long = self.n_long
-        flows = make_flows(self.flow_id_base, pairs[:n_long],
-                           [self.long_size] * n_long, [0.0] * n_long,
-                           [None] * n_long)
-        if self.n_short:
-            sizes = self.short_sizes.sample(rng_sizes, self.n_short)
-            deadlines = self.deadlines.assign(rng_deadlines, sizes)
-            gaps = rng_arrivals.exponential(
-                self.short_window / self.n_short, size=self.n_short)
-            flows += make_flows(self.flow_id_base + n_long, pairs[n_long:],
-                                sizes, np.cumsum(gaps), deadlines)
-        return install_flows(net, self.registry, flows, self.sender_cls,
-                             self.tcp_config)
+        return install_flows(self.net, self.registry,
+                             static_flows(self.net, **self.params),
+                             self.sender_cls, self.tcp_config)
 
 
 class PoissonWorkload:
-    """Random-pair Poisson arrivals at a target load (§6.2).
+    """Bare ``poisson``'s flows from an explicit size distribution rather
+    than a config: it draws exactly what ``run_scenario`` installs for
+    ``workload="poisson"`` (the ``poisson`` kind's pair process on the
+    ``workload.*`` streams), so a caller can generate a cell's flows
+    without simulating it.
 
     ``load`` is the offered fraction of the aggregate *fabric* (leaf→
     spine) capacity — the tier where the multi-path decision happens and
     the paper's bottleneck (its 256-host fabric is 4:1 oversubscribed, so
-    "workload 0.8" can only refer to the spine tier).  The flow arrival
-    rate is ``load * n_leaves * n_spines * fabric_rate / (8 * mean_size)``
-    flows per second.  Flows always cross leaves (the paper's multi-path
-    setting); intra-leaf pairs are redrawn.
-
-    ``n_flows`` bounds the experiment: exactly that many flows are
-    generated (the measurement window then ends with the last completion
-    or the caller's horizon).
+    "workload 0.8" can only refer to the spine tier).  Exactly
+    ``n_flows`` flows are generated.
     """
 
     def __init__(
@@ -286,17 +302,14 @@ class PoissonWorkload:
         tcp_config: Optional[TcpConfig] = None,
         flow_id_base: int = 0,
     ):
-        if not 0 < load <= 1.5:
-            raise ConfigError(f"load must be in (0, 1.5], got {load}")
-        if n_flows < 1:
-            raise ConfigError("n_flows must be >= 1")
-        if len(net.leaves) < 2:
-            raise ConfigError("PoissonWorkload needs at least two leaves")
+        # the scenario module imports this one, so it is bound here
+        from repro.workload.scenarios import PoissonScenario
+
+        # the kind's parameter rows check load and n_flows
+        self.scenario = PoissonScenario(load=float(load), flows=int(n_flows))
         self.net = net
         self.registry = registry
         self.sizes = sizes
-        self.load = float(load)
-        self.n_flows = int(n_flows)
         self.deadlines = deadlines if deadlines is not None else UniformDeadlines()
         self.sender_cls = sender_cls
         self.tcp_config = tcp_config
@@ -304,19 +317,12 @@ class PoissonWorkload:
 
     def arrival_rate(self) -> float:
         """Flow arrivals per second implied by the target load."""
-        return arrival_rate(self.net, self.load, self.sizes.mean())
+        return arrival_rate(self.net, self.scenario.load, self.sizes.mean())
 
     def install(self) -> WorkloadResult:
         """Register flows, create senders, schedule starts."""
-        net = self.net
-        n = self.n_flows
-        arrivals = poisson_arrivals(
-            net.rngs.stream("workload.arrivals"), self.arrival_rate(), n)
-        sizes = self.sizes.sample(net.rngs.stream("workload.sizes"), n)
-        deadlines = self.deadlines.assign(
-            net.rngs.stream("workload.deadlines"), sizes)
-        pairs = cross_leaf_pairs(net, net.rngs.stream("workload.pairs"), n)
-        return install_flows(
-            net, self.registry,
-            make_flows(self.flow_id_base, pairs, sizes, arrivals, deadlines),
-            self.sender_cls, self.tcp_config)
+        flows = self.scenario.draw(
+            self.net, None, self.sizes, self.deadlines, self.scenario.flows,
+            base_id=self.flow_id_base, stream_prefix="workload")
+        return install_flows(self.net, self.registry, flows,
+                             self.sender_cls, self.tcp_config)

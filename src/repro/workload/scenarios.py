@@ -12,10 +12,18 @@ workloads.  A spec is a first-class sweep axis: it rides in
 invalidates exactly its own cells), and appears as a ``repro figure
 workloads`` family.
 
+The paper's own two workloads are kinds too: ``static`` (the §2.2/
+§4.2/§6.1 microbenchmark, read from the config's ``n_short``/``n_long``
+fields) and ``poisson`` (the §6.2 pair process); ``trace`` replays a
+flow list saved by :func:`repro.workload.traces.write_trace`.
+
 Spec format
 -----------
 ``kind[:key=value[,key=value...]]``, e.g.::
 
+    static
+    poisson
+    trace:file=traces/flows.csv
     cdf:file=traces/websearch.csv
     zipf:s=1.2,load=0.5
     incast:fanin=40,period=10ms
@@ -25,7 +33,8 @@ Spec format
 
 Each kind declares its parameters once, in its ``PARAMS`` table; ``repro
 workloads`` prints every kind's parameters and defaults from it (a bare
-name defaults to the config's ``sizes`` / ``load`` / ``n_flows``).
+name defaults to the config's ``sizes`` / ``load`` / ``n_flows``, and a
+value read from the config passes the same check as one in the spec).
 
 Times accept ``us``/``ms``/``s`` suffixes (bare numbers are seconds);
 sizes accept ``B``/``KB``/``MB`` (bare numbers are bytes).  Aliases
@@ -37,12 +46,14 @@ Every random quantity draws from named RNG streams of the network's
 registry, so a scenario installs byte-identically across schemes at the
 same seed (paired comparisons), and ``parse(spec).canonical()`` is a
 lossless fixed point suitable for hashing: two specs share a canonical
-string only when they describe the same scenario.
+string only when they describe the same scenario, and the installed
+flows are a function of the canonical string alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Optional, Type
 
@@ -51,12 +62,13 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.transport.dctcp import DctcpSender
 from repro.transport.flow import Flow, FlowRegistry
-from repro.units import KB, short_float
+from repro.units import KB, MB, short_float
 from repro.workload.deadlines import UniformDeadlines
 from repro.workload.distributions import (
     FlowSizeDistribution,
     named_distribution,
     PiecewiseCdf,
+    UniformSize,
 )
 from repro.workload.generator import (
     WorkloadResult,
@@ -65,7 +77,9 @@ from repro.workload.generator import (
     install_flows,
     make_flows,
     poisson_arrivals,
+    static_flows,
 )
+from repro.workload.traces import parse_trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.topology import Network
@@ -81,10 +95,6 @@ __all__ = [
     "load_cdf_file",
     "EXAMPLE_SPECS",
 ]
-
-#: ScenarioConfig.workload values handled by the legacy generator path
-#: (repro.workload.generator), not this registry.
-LEGACY_WORKLOADS = ("static", "poisson")
 
 
 # --- spec field parsing ----------------------------------------------------
@@ -199,6 +209,15 @@ def _deadlines(config) -> UniformDeadlines:
     )
 
 
+def _read_fingerprinted(path: str | Path, what: str) -> tuple[bytes, str]:
+    """A file's bytes and the short content digest the cache key carries."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    return raw, hashlib.sha256(raw).hexdigest()[:16]
+
+
 def _require_multi_leaf(net: "Network", kind: str) -> None:
     if len(net.leaves) < 2:
         raise ConfigError(f"{kind} scenario needs at least two leaves")
@@ -256,6 +275,13 @@ class Scenario:
         kind has a ``load`` parameter and the spec leaves it unset."""
         return "load" in self.PARAMS and self.load is None
 
+    def _from_config(self, config, name: str, default, row: tuple):
+        """A value the spec left to the config, held to the same check as
+        the ``row`` it would have come through in the spec."""
+        value = _cfg(config, name, default)
+        row[2](value, f"{self.kind} {name} (from the config)")
+        return value
+
     def file_digests(self) -> dict[str, str]:
         """Content fingerprints of any files the scenario reads
         (``{path: sha256-prefix}``); folded into the cache key."""
@@ -282,9 +308,78 @@ class Scenario:
         sender_cls: Type = DctcpSender,
         tcp_config=None,
     ) -> WorkloadResult:
-        """Register flows, create senders, schedule starts."""
-        return install_flows(net, registry, self.generate(net, config),
-                             sender_cls, tcp_config)
+        """Register flows, create senders, schedule starts.
+
+        A spec without parameters (``static``, bare ``poisson`` however
+        spelled) draws from the ``workload.*`` streams the paper's two
+        workloads always used; every other spec from
+        ``workload.scenario.*``.  Either way the flows depend on the
+        canonical form only, which is what the cache keys.
+        """
+        prefix = ("workload" if self.canonical() == self.kind
+                  else "workload.scenario")
+        return install_flows(
+            net, registry, self.generate(net, config, stream_prefix=prefix),
+            sender_cls, tcp_config)
+
+
+# --- fixed flow lists ------------------------------------------------------
+
+class StaticScenario(Scenario):
+    """The §2.2/§4.2/§6.1 microbenchmark (:func:`static_flows`): long
+    flows at t=0 plus a Poisson burst of short flows, leaf 0 → leaf 1.
+
+    It takes no spec parameters: counts, sizes, the burst window and
+    ``distinct_hosts`` come from the config's ``n_short``, ``n_long``,
+    ``short_size_lo``/``short_size_hi``, ``long_size``, ``short_window``
+    and ``distinct_hosts``."""
+
+    kind = "static"
+
+    def generate(self, net, config=None, *, base_id=0, n_flows=None,
+                 stream_prefix="workload.scenario"):
+        return static_flows(
+            net,
+            n_short=_cfg(config, "n_short", 100),
+            n_long=_cfg(config, "n_long", 3),
+            short_sizes=UniformSize(_cfg(config, "short_size_lo", KB(40)),
+                                    _cfg(config, "short_size_hi", KB(100))),
+            long_size=_cfg(config, "long_size", MB(10)),
+            short_window=_cfg(config, "short_window", 0.05),
+            deadlines=_deadlines(config),
+            distinct_hosts=_cfg(config, "distinct_hosts", False),
+            base_id=base_id, stream_prefix=stream_prefix)
+
+
+class TraceScenario(Scenario):
+    """Replay a flow-trace CSV (the :func:`repro.workload.traces
+    .write_trace` format) flow for flow; ids are renumbered contiguously
+    from ``base_id`` in file order.  Like ``cdf``, the file's content
+    hash is part of the cache key."""
+
+    kind = "trace"
+    PARAMS = {"file": (_text, None, None)}
+
+    def __init__(self, **params):
+        super().__init__(**params)
+        if self.file is None:
+            raise ConfigError("trace needs file=PATH")
+        raw, self._digest = _read_fingerprinted(self.file, "trace file")
+        self._flows = parse_trace(raw.decode("utf-8"), self.file)
+        if not self._flows:
+            raise ConfigError(f"{self.file}: trace contains no flows")
+
+    def file_digests(self) -> dict[str, str]:
+        return {self.file: self._digest}
+
+    def generate(self, net, config=None, *, base_id=0, n_flows=None,
+                 stream_prefix="workload.scenario"):
+        unknown = ({f.src for f in self._flows} | {f.dst for f in self._flows}
+                   ) - net.hosts.keys()
+        if unknown:
+            raise ConfigError(f"{self.file}: trace references unknown"
+                              f" hosts {sorted(unknown)[:5]}")
+        return [replace(f, id=base_id + i) for i, f in enumerate(self._flows)]
 
 
 # --- traffic-matrix scenarios ----------------------------------------------
@@ -308,7 +403,8 @@ class PoissonScenario(Scenario):
         )
 
     def _arrivals(self, net, config, rng, mean_size: float, n: int) -> np.ndarray:
-        load = self.load if self.load is not None else _cfg(config, "load", 0.4)
+        load = self.load if self.load is not None else self._from_config(
+            config, "load", 0.4, _LOAD)
         return poisson_arrivals(rng, arrival_rate(net, load, mean_size), n)
 
     def _pairs(self, net, rng, arrivals: np.ndarray) -> list[tuple[str, str]]:
@@ -316,20 +412,28 @@ class PoissonScenario(Scenario):
 
     def generate(self, net, config=None, *, base_id=0, n_flows=None,
                  stream_prefix="workload.scenario"):
-        _require_multi_leaf(net, self.kind)
         n = n_flows if n_flows is not None else (
             self.flows if self.flows is not None
-            else _cfg(config, "n_flows", 200))
-        dist = self._distribution(config)
+            else self._from_config(config, "n_flows", 200, _FLOWS))
+        return self.draw(net, config, self._distribution(config),
+                         _deadlines(config), n, base_id=base_id,
+                         stream_prefix=stream_prefix)
+
+    def draw(self, net, config, dist: FlowSizeDistribution,
+             deadlines: UniformDeadlines, n: int, *, base_id=0,
+             stream_prefix="workload.scenario") -> list[Flow]:
+        """The pair process over a resolved size distribution and
+        deadline rule (``PoissonWorkload`` passes its own)."""
+        _require_multi_leaf(net, self.kind)
         arrivals = self._arrivals(
             net, config, net.rngs.stream(f"{stream_prefix}.arrivals"),
             dist.mean(), n)
         sizes = dist.sample(net.rngs.stream(f"{stream_prefix}.sizes"), n)
-        deadlines = _deadlines(config).assign(
+        flow_deadlines = deadlines.assign(
             net.rngs.stream(f"{stream_prefix}.deadlines"), sizes)
         pairs = self._pairs(
             net, net.rngs.stream(f"{stream_prefix}.pairs"), arrivals)
-        return make_flows(base_id, pairs, sizes, arrivals, deadlines)
+        return make_flows(base_id, pairs, sizes, arrivals, flow_deadlines)
 
 
 class EmpiricalCdfScenario(PoissonScenario):
@@ -411,9 +515,11 @@ class IncastScenario(Scenario):
     def generate(self, net, config=None, *, base_id=0, n_flows=None,
                  stream_prefix="workload.scenario"):
         _require_multi_leaf(net, self.kind)
-        budget = n_flows if n_flows is not None else _cfg(config, "n_flows", 200)
-        n_requests = self.requests if self.requests is not None else max(
-            1, budget // self.fanin)
+        n_requests = self.requests
+        if n_requests is None:
+            budget = n_flows if n_flows is not None else self._from_config(
+                config, "n_flows", 200, _FLOWS)
+            n_requests = max(1, budget // self.fanin)
         rng = net.rngs.stream(f"{stream_prefix}.incast")
         rng_deadlines = net.rngs.stream(f"{stream_prefix}.deadlines")
         deadlines = _deadlines(config)
@@ -554,6 +660,10 @@ class MixScenario(Scenario):
                     f"mix component {name!r} weight must be > 0, got {w}")
             if isinstance(sc, MixScenario):
                 raise ConfigError("mix components cannot be mixes themselves")
+            if isinstance(sc, (StaticScenario, TraceScenario)):
+                raise ConfigError(
+                    f"mix component {name!r}: {sc.kind} has a fixed flow"
+                    " list, so a weight cannot share a budget out to it")
         self.components = list(components)
 
     @classmethod
@@ -601,7 +711,8 @@ class MixScenario(Scenario):
 
     def generate(self, net, config=None, *, base_id=0, n_flows=None,
                  stream_prefix="workload.scenario"):
-        total = n_flows if n_flows is not None else _cfg(config, "n_flows", 200)
+        total = n_flows if n_flows is not None else self._from_config(
+            config, "n_flows", 200, _FLOWS)
         flows: list[Flow] = []
         next_id = base_id
         for i, ((name, _, sc), share) in enumerate(
@@ -631,7 +742,8 @@ SCENARIO_ALIASES: dict[str, str] = {
 }
 
 #: a runnable example spec per kind (docs and conformance tests; ``cdf``
-#: is omitted because it needs an on-disk trace file)
+#: and ``trace`` are omitted because they need an on-disk file, ``static``
+#: because it has no parameters)
 EXAMPLE_SPECS: dict[str, str] = {
     "poisson": "poisson:load=0.4",
     "zipf": "zipf:s=1.2",
@@ -655,8 +767,9 @@ def register_scenario(kind: str, cls: Type[Scenario]) -> None:
     _CANONICAL_MEMO.clear()
 
 
-for _cls in (PoissonScenario, EmpiricalCdfScenario, ZipfScenario,
-             IncastScenario, DiurnalScenario, HotspotScenario, MixScenario):
+for _cls in (StaticScenario, TraceScenario, PoissonScenario,
+             EmpiricalCdfScenario, ZipfScenario, IncastScenario,
+             DiurnalScenario, HotspotScenario, MixScenario):
     register_scenario(_cls.kind, _cls)
 
 
@@ -683,16 +796,13 @@ def parse_scenario(spec: str) -> Scenario:
 def canonical_workload(spec: str) -> str:
     """The cache-key rendering of a workload axis value.
 
-    Legacy values (``static`` / ``poisson``) pass through unchanged;
-    scenario specs canonicalise (so an alias and its expansion, or two
-    param orderings, share one cache cell) and append the content
-    fingerprints of any files read, so editing a trace file invalidates
-    exactly the cells that used it.  A grid repeats one spec in every
+    Specs canonicalise (so an alias and its expansion, or two param
+    orderings, share one cache cell) and append the content fingerprints
+    of any files read, so editing a trace file invalidates exactly the
+    cells that used it.  A grid repeats one spec in every
     cell, so a file-free spec is parsed once per process; a spec that
     reads files is re-parsed (and its files re-digested) on every call.
     """
-    if spec in LEGACY_WORKLOADS:
-        return spec
     canonical = _CANONICAL_MEMO.get(spec)
     if canonical is not None:
         return canonical
@@ -721,11 +831,7 @@ def load_cdf_file(path: str | Path) -> tuple[list[tuple[float, float]], str]:
     same monotonicity rules as the built-in distributions.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read CDF file {path}: {exc}") from None
-    digest = hashlib.sha256(raw).hexdigest()[:16]
+    raw, digest = _read_fingerprinted(path, "CDF file")
     points: list[tuple[float, float]] = []
     for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
         text = line.split("#", 1)[0].strip()

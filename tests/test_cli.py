@@ -569,8 +569,8 @@ def test_mission_control_flags_parse():
 def test_workloads_command_lists_vocabulary(capsys):
     assert main(["workloads"]) == 0
     out = capsys.readouterr().out
-    for kind in ("poisson", "cdf", "zipf", "incast", "diurnal", "hotspot",
-                 "mix"):
+    for kind in ("static", "poisson", "trace", "cdf", "zipf", "incast",
+                 "diurnal", "hotspot", "mix"):
         assert kind in out
     assert "websearch = poisson:sizes=web_search" in out
 

@@ -13,8 +13,11 @@ flow or split/merged a cache cell.
 
 The expected values were recorded at commit c0af862 (PR 16), before the
 two generations of ``repro.workload`` were folded onto one installer.
-Re-record them (``python tests/test_flow_pins.py``) only for an
-intentional workload change, and say so in CHANGES.md.
+The ``run_scenario`` cells (what a run installs for ``workload="static"``
+and ``"poisson"``) were recorded at commit 1661978, while those two names
+still bypassed the scenario registry.  Re-record them
+(``python tests/test_flow_pins.py``) only for an intentional workload
+change, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -26,18 +29,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import ScenarioConfig
+from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.net.topology import LeafSpineConfig, build_leaf_spine
 from repro.transport.flow import FlowRegistry
 from repro.units import MB
 from repro.workload import (
-    IncastWorkload,
     PoissonWorkload,
     StaticWorkload,
-    TraceWorkload,
     canonical_workload,
     parse_scenario,
-    read_trace,
     write_trace,
 )
 from repro.workload.distributions import WEB_SEARCH
@@ -108,30 +108,45 @@ def _poisson(seed):
                            flow_id_base=7).install().flows
 
 
-def _incast(seed):
-    return IncastWorkload(_fabric(seed), FlowRegistry(), n_requests=4,
-                          fanout=6, deadline=0.02).install().flows
-
-
 def _trace_round_trip(seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_trace(Path(tmp) / "t.csv", _static(seed))
-        return TraceWorkload(_fabric(seed), FlowRegistry(),
-                             read_trace(path)).install().flows
+        return parse_scenario(f"trace:file={path}").install(
+            _fabric(seed), FlowRegistry()).flows
 
 
-#: the generation-1 classes, called the way examples and tests call them
+#: the explicit-parameter adapters, called the way examples and tests
+#: call them, and a saved flow list replayed through ``trace:file=``
 DIRECT = {
     "StaticWorkload": _static,
     "StaticWorkload+distinct_hosts": _static_distinct,
     "PoissonWorkload": _poisson,
-    "IncastWorkload": _incast,
-    "TraceWorkload": _trace_round_trip,
+    "trace:file=StaticWorkload": _trace_round_trip,
 }
 
 
 def direct_digest(name: str, seed: int) -> str:
     return _digest(DIRECT[name](seed))
+
+
+#: ``workload`` name and config fields of each ``run_scenario`` cell
+INSTALLED = {
+    "run_scenario:static": ("static", dict(n_short=20, n_long=2)),
+    "run_scenario:static+distinct_hosts":
+        ("static", dict(n_short=5, n_long=2, distinct_hosts=True)),
+    "run_scenario:poisson": ("poisson", {}),
+}
+
+
+def installed_digest(name: str, seed: int) -> str:
+    """What ``run_scenario`` installs (the horizon only bounds the run)."""
+    workload, fields = INSTALLED[name]
+    config = ScenarioConfig(
+        workload=workload, scheme="ecmp", n_leaves=4, n_paths=4,
+        hosts_per_leaf=8, n_flows=60, load=0.6, sizes="data_mining",
+        truncate_tail=MB(1), deadline_lo=2e-3, deadline_hi=9e-3, seed=seed,
+        horizon=1e-3, **fields)
+    return _digest(run_scenario(config).workload.flows)
 
 
 def _cells() -> dict:
@@ -140,14 +155,12 @@ def _cells() -> dict:
              for spec in SPECS for seed in SEEDS}
     cells.update({(name, seed): partial(direct_digest, name, seed)
                   for name in DIRECT for seed in SEEDS})
+    cells.update({(name, seed): partial(installed_digest, name, seed)
+                  for name in INSTALLED for seed in SEEDS})
     return cells
 
 
 PINS = {
-    ('IncastWorkload', 1):
-        "5642b5c34125ab33b3847e9870b0d21a8b9978b805eb3cecd27dabeafb555762",
-    ('IncastWorkload', 7):
-        "86ae450f39e46435edc73d16343869e8c09d2e795c732492970fa3960a956797",
     ('PoissonWorkload', 1):
         "ea27ecd4e07e3a3c968db06d78778877c3df358cdf6a0fca83225f9088009f8b",
     ('PoissonWorkload', 7):
@@ -160,10 +173,6 @@ PINS = {
         "89ad22a78eb0a1578c93c8c3a51b91f13dd5c83553d893077fbfe1191cffa447",
     ('StaticWorkload+distinct_hosts', 7):
         "94917f888dd6532fd8b69c73e99c49f2d41d46850590be24a8616ba01b2c240a",
-    ('TraceWorkload', 1):
-        "53ad4e3e88f3900d9382fcc7d1ad232b3f337234c8ef35b63bd4c9a0ed5fd0e3",
-    ('TraceWorkload', 7):
-        "f94b240214552121da3fc0ae23d36c3140897f97d8481ef03a30cb2e0133585b",
     ('cdf:file=examples/traces/websearch_cdf.csv', 1):
         "5645e85670adbab3649c36e4795b6eda33cb47fc358ffe59a0ac80ed9c0cd898",
     ('cdf:file=examples/traces/websearch_cdf.csv', 7):
@@ -204,6 +213,22 @@ PINS = {
         "5a2f3341a1a5cbedc668bb6aecd152b3f3a760c703cc0cabc6865a33a83e8afb",
     ('poisson:load=0.4', 7):
         "a9922c14930055e3f2b4dcf1dea9962b0054502e29594607c46ae9c3881a0b66",
+    ('run_scenario:poisson', 1):
+        "128ecd9bfb0d64190b3fcbb06a09837720252fb6b876f2f18928faeca16a87e9",
+    ('run_scenario:poisson', 7):
+        "0ef58cc22257b46a05282f3de3263acb3c5e070298f34a74065c0a6d266c5af2",
+    ('run_scenario:static', 1):
+        "dbd1b6676c393be86590f5897bc6e3ee08e7e832fb840065b742d441f58557e0",
+    ('run_scenario:static', 7):
+        "5ee8fdd737903f2274f9c5faf9c7026bffedfa0dc46d05fc5acc6054113c0e5d",
+    ('run_scenario:static+distinct_hosts', 1):
+        "4fe5ae2ff69e34ff054b65a5abd21d89c7dfc3afde6ae52b749c10a8d89fbbed",
+    ('run_scenario:static+distinct_hosts', 7):
+        "1feb8374fa00f8edb6cb3ae8b3ed0f1e9e8126dc697ccdfe608476f6c9ae091e",
+    ('trace:file=StaticWorkload', 1):
+        "3bb4aecec9782034ee81bb28bfa96973875e5c0427cba13055cdcecad8551b7a",
+    ('trace:file=StaticWorkload', 7):
+        "c5e2cc80ce9a193d2cf283a6b756fe9fa0796aefcc415dedc653c81fcbcb211d",
     ('websearch', 1):
         "5645e85670adbab3649c36e4795b6eda33cb47fc358ffe59a0ac80ed9c0cd898",
     ('websearch', 7):

@@ -131,3 +131,19 @@ def test_flows_actually_complete_when_run():
                    long_size=500_000, short_window=0.005).install()
     net.sim.run(until=1.0)
     assert all(s.completed is not None for s in reg.all_stats())
+
+
+def test_poisson_workload_draws_what_run_scenario_installs():
+    # the ladder's calibrated_seed generates cells' flows this way
+    # without simulating them
+    from repro.experiments.common import ScenarioConfig, run_scenario
+
+    config = ScenarioConfig(workload="poisson", scheme="ecmp", n_leaves=4,
+                            n_paths=4, hosts_per_leaf=8, n_flows=50,
+                            load=0.6, sizes="data_mining", seed=5,
+                            horizon=1e-3)
+    direct = PoissonWorkload(
+        build_leaf_spine(config.fabric_config()), FlowRegistry(),
+        sizes=config.size_distribution(), load=config.load,
+        n_flows=config.n_flows).install()
+    assert direct.flows == run_scenario(config).workload.flows

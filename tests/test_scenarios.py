@@ -8,8 +8,9 @@ from repro.cache.key import config_digest
 from repro.errors import ConfigError
 from repro.experiments.common import ScenarioConfig
 from repro.net.topology import LeafSpineConfig, build_leaf_spine
-from repro.transport.flow import FlowRegistry
+from repro.transport.flow import Flow, FlowRegistry
 from repro.workload.generator import WorkloadResult
+from repro.workload.traces import write_trace
 from repro.workload.scenarios import (
     EXAMPLE_SPECS,
     SCENARIO_ALIASES,
@@ -54,8 +55,10 @@ def test_canonical_is_parameter_order_insensitive():
 
 
 def test_legacy_workloads_pass_through():
+    # the paper's two workloads are kinds whose bare name is canonical
     assert canonical_workload("static") == "static"
     assert canonical_workload("poisson") == "poisson"
+    assert canonical_workload(" poisson") == canonical_workload("poisson:")
 
 
 def test_time_and_byte_suffixes():
@@ -94,6 +97,8 @@ def test_spec_errors():
 def test_mix_rejects_nested_mixes_and_bad_weights():
     with pytest.raises(ConfigError, match="cannot be mixes"):
         MixScenario([("m", 1.0, parse_scenario("mix:tenantA@1"))])
+    with pytest.raises(ConfigError, match="fixed flow list"):
+        parse_scenario("mix:static@0.5+tenantA@0.5")
     with pytest.raises(ConfigError, match="weight"):
         MixScenario.parse("tenantA@0", "mix:tenantA@0")
     with pytest.raises(ConfigError, match="at least one"):
@@ -188,6 +193,47 @@ def test_workload_axis_tracks_trace_file_content(tmp_path):
     assert before == config_digest(cfg(f"cdf:file={p}"))
     p.write_text(TRACE + "# edited\n")
     assert config_digest(cfg(f"cdf:file={p}")) != before
+
+
+def run_flows(workload, **fields):
+    """The flows ``run_scenario`` installs (the horizon only bounds the run)."""
+    from repro.experiments.common import run_scenario
+
+    config = cfg(workload).with_(scheme="ecmp", horizon=1e-3, **fields)
+    return [(f.id, f.src, f.dst, f.size, f.start_time, f.deadline)
+            for f in run_scenario(config).workload.flows]
+
+
+def test_spellings_of_one_workload_share_key_and_flows():
+    # one canonical form, one cache cell — and so one flow list
+    for spellings in (("poisson", "poisson:", " poisson"),
+                      ("static", "static:", " static")):
+        digests = {config_digest(cfg(w)) for w in spellings}
+        assert len(digests) == 1, spellings
+        flows = [run_flows(w, n_flows=40) for w in spellings]
+        assert flows[0] and all(f == flows[0] for f in flows), spellings
+
+
+def test_config_values_pass_the_spec_checks():
+    # a value the spec leaves to the config is held to the check the
+    # same value would meet in the spec
+    for spec, fields, what in (
+            ("zipf:s=1.2", dict(load=5.0), "load"),
+            ("poisson:", dict(load=5.0), "load"),
+            ("poisson", dict(load=0.0), "load"),
+            ("zipf:s=1.2", dict(n_flows=0), "n_flows"),
+            ("incast:fanin=4", dict(n_flows=0), "n_flows"),
+            ("mix:tenantA@0.5+incast@0.5", dict(n_flows=0), "n_flows")):
+        config = cfg(spec).with_(**fields)
+        with pytest.raises(ConfigError,
+                           match=f"{what} \\(from the config\\) must be in"):
+            parse_scenario(spec).install(fabric(), FlowRegistry(), config)
+    # a spec's own value wins, so the config's is never read
+    config = cfg("static").with_(load=5.0, n_flows=0)
+    assert parse_scenario("zipf:load=0.5,flows=10").install(
+        fabric(), FlowRegistry(), config).n_flows == 10
+    assert parse_scenario("incast:fanin=4,requests=2").install(
+        fabric(), FlowRegistry(), config).n_flows == 8
 
 
 def test_config_rejects_bad_workload_spec_eagerly():
@@ -395,7 +441,7 @@ PARAM_EXAMPLES = {
     "sizes": ("data_mining", "nosuchdist"),
     "load": ("0.7", "2.0"),
     "flows": ("40", "0"),
-    "file": (None, "/nonexistent/trace.csv"),  # good value: a tmp trace
+    "file": (None, "/nonexistent/trace.csv"),  # good value: a tmp file
     "s": ("0.9", "9"),
     "fanin": ("6", "0"),
     "period": ("20ms", "0"),
@@ -412,12 +458,16 @@ PARAM_EXAMPLES = {
 
 @pytest.mark.parametrize("kind", sorted(SCENARIO_KINDS))
 def test_every_params_row_parses_canonicalises_and_checks(kind, tmp_path):
-    trace = tmp_path / "trace.csv"
-    trace.write_text(TRACE)
+    # ``file`` is a size CDF for ``cdf`` and a flow list for ``trace``
+    files = {"cdf": tmp_path / "cdf.csv", "trace": tmp_path / "flows.csv"}
+    files["cdf"].write_text(TRACE)
+    write_trace(files["trace"], [
+        Flow(id=0, src="h0", dst="h9", size=1000, start_time=0.0)])
     params = SCENARIO_KINDS[kind].PARAMS
     missing = set(params) - set(PARAM_EXAMPLES)
     assert not missing, f"{kind}: add PARAM_EXAMPLES for {sorted(missing)}"
-    good = {name: PARAM_EXAMPLES[name][0] or str(trace) for name in params}
+    good = {name: PARAM_EXAMPLES[name][0] or str(files.get(kind))
+            for name in params}
 
     def spec_of(values):
         if "file" in params:  # the one required parameter

@@ -1,13 +1,16 @@
-"""Tests for flow-trace I/O and replay."""
+"""Tests for flow-trace I/O and replay through the ``trace`` kind."""
 
 import pytest
 
+from repro.cache.key import config_digest
 from repro.errors import ConfigError
+from repro.experiments.common import ScenarioConfig
 from repro.lb import attach_scheme
 from repro.net.topology import build_two_leaf_fabric
 from repro.transport.flow import Flow, FlowRegistry
 from repro.workload.generator import StaticWorkload
-from repro.workload.traces import TraceWorkload, read_trace, write_trace
+from repro.workload.scenarios import canonical_workload, parse_scenario
+from repro.workload.traces import read_trace, write_trace
 
 
 def make_flows():
@@ -58,35 +61,62 @@ def test_read_malformed_row_reports_line(tmp_path):
 
 def test_replay_matches_generated_workload(tmp_path):
     """Generate a workload, save it, replay it: identical metrics."""
-    def run(flows=None):
+    def run(trace_path=None):
         net = build_two_leaf_fabric(n_paths=4, hosts_per_leaf=8, seed=3)
         attach_scheme(net, "ecmp")
         reg = FlowRegistry()
-        if flows is None:
+        if trace_path is None:
             wl = StaticWorkload(net, reg, n_short=6, n_long=1,
                                 long_size=300_000, short_window=0.005)
             result = wl.install()
         else:
-            result = TraceWorkload(net, reg, flows).install()
+            result = parse_scenario(f"trace:file={trace_path}").install(
+                net, reg)
         net.sim.run(until=1.0)
         fcts = sorted(s.fct for s in reg.all_stats())
         return [f for f in result.flows], fcts
 
     flows, fcts1 = run()
-    trace_path = write_trace(tmp_path / "wl.csv", flows)
-    _, fcts2 = run(read_trace(trace_path))
+    _, fcts2 = run(write_trace(tmp_path / "wl.csv", flows))
     assert fcts1 == fcts2
 
 
-def test_replay_unknown_host_rejected():
-    net = build_two_leaf_fabric(n_paths=2, hosts_per_leaf=2)
-    reg = FlowRegistry()
-    flows = [Flow(id=1, src="h0", dst="h99", size=1000, start_time=0.0)]
-    with pytest.raises(ConfigError):
-        TraceWorkload(net, reg, flows)
+def test_replay_renumbers_ids_from_base(tmp_path):
+    path = write_trace(tmp_path / "t.csv", make_flows())
+    net = build_two_leaf_fabric(n_paths=2, hosts_per_leaf=8)
+    flows = parse_scenario(f"trace:file={path}").generate(net, base_id=100)
+    # file order (by start time), every field but the id kept
+    assert [f.id for f in flows] == [100, 101, 102]
+    assert [(f.src, f.size, f.deadline) for f in flows] == [
+        (f.src, f.size, f.deadline) for f in read_trace(path)]
 
 
-def test_replay_empty_rejected():
+def test_replay_unknown_host_rejected(tmp_path):
     net = build_two_leaf_fabric(n_paths=2, hosts_per_leaf=2)
-    with pytest.raises(ConfigError):
-        TraceWorkload(net, FlowRegistry(), [])
+    path = write_trace(tmp_path / "t.csv", [
+        Flow(id=1, src="h0", dst="h99", size=1000, start_time=0.0)])
+    scenario = parse_scenario(f"trace:file={path}")
+    with pytest.raises(ConfigError, match="unknown hosts"):
+        scenario.install(net, FlowRegistry())
+
+
+def test_replay_empty_rejected(tmp_path):
+    path = write_trace(tmp_path / "t.csv", [])
+    with pytest.raises(ConfigError, match="no flows"):
+        parse_scenario(f"trace:file={path}")
+    path.write_text("")
+    with pytest.raises(ConfigError, match="missing columns"):
+        parse_scenario(f"trace:file={path}")
+    with pytest.raises(ConfigError, match="cannot read"):
+        parse_scenario(f"trace:file={tmp_path / 'missing.csv'}")
+
+
+def test_editing_the_trace_changes_the_key(tmp_path):
+    path = write_trace(tmp_path / "t.csv", make_flows())
+    spec = f"trace:file={path}"
+    key = canonical_workload(spec)
+    digest = config_digest(ScenarioConfig(workload=spec))
+    assert canonical_workload(spec) == key  # stable while untouched
+    write_trace(path, make_flows()[:2])
+    assert canonical_workload(spec) != key
+    assert config_digest(ScenarioConfig(workload=spec)) != digest
