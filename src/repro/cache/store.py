@@ -192,10 +192,6 @@ class ResultCache:
         except TypeError:
             return None
 
-    def cacheable(self, config: Any) -> bool:
-        """Whether ``config`` can be keyed (is a dataclass instance)."""
-        return self.key_or_none(config) is not None
-
     def _object_path(self, key: str) -> Path:
         return self.root / _OBJECTS / f"{key}.pkl"
 

@@ -37,8 +37,9 @@ Link events apply to *both* directions of the physical link, like
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import FaultError
 from repro.units import short_float
@@ -81,8 +82,9 @@ class FaultEvent:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise FaultError(f"fault time must be >= 0, got {self.time!r}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise FaultError(
+                f"fault time must be finite and >= 0, got {self.time!r}")
         if self.kind in LINK_KINDS:
             if self.link is None or self.node is not None:
                 raise FaultError(f"{self.kind!r} needs a link target")
@@ -211,25 +213,6 @@ class FaultSchedule:
         if not chunks:
             raise FaultError(f"empty fault spec {spec!r}")
         return cls(tuple(FaultEvent.parse(c) for c in chunks))
-
-    @classmethod
-    def from_events(cls, events: Iterable[FaultEvent]) -> "FaultSchedule":
-        """Build from already-constructed events."""
-        return cls(tuple(events))
-
-    def to_dicts(self) -> list[dict]:
-        """JSON-friendly form (manifests, exported run records)."""
-        out = []
-        for ev in self.events:
-            d: dict = {"time": ev.time, "kind": ev.kind, "target": ev.target}
-            if ev.kind == "link_down":
-                d["mode"] = ev.mode
-            elif ev.kind == "degrade":
-                d["rate_factor"] = ev.rate_factor
-            elif ev.kind == "loss_start":
-                d["loss_rate"] = ev.loss_rate
-            out.append(d)
-        return out
 
 
 def link_flap(link: tuple[str, str], down_at: float, up_at: float,

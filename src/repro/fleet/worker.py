@@ -174,11 +174,6 @@ class FleetWorker:
         self.draining = True
         self.drain_signal = signal.Signals(signum).name
 
-    def request_drain(self, reason: str = "requested") -> None:
-        """Programmatic drain (what the signal handler does)."""
-        self.draining = True
-        self.drain_signal = self.drain_signal or reason
-
     # -- worker status file ------------------------------------------------
 
     def _write_status(self, state: str) -> None:

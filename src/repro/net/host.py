@@ -67,10 +67,6 @@ class Host(Node):
             raise TransportError(f"{self.name}: sender for flow {flow_id} already registered")
         self.senders[flow_id] = agent
 
-    def register_receiver(self, flow_id: int, agent: PacketHandler) -> None:
-        """Register the agent that consumes this flow's data stream."""
-        self.receivers[flow_id] = agent
-
     def unregister_flow(self, flow_id: int) -> None:
         """Drop both directions' agents once a flow fully completes."""
         self.senders.pop(flow_id, None)

@@ -131,10 +131,6 @@ class Switch(Node):
 
     # -- introspection helpers (used by experiments/metrics) ---------------
 
-    def uplinks_for(self, dst_host: str) -> tuple["Port", ...]:
-        """The candidate port set for a destination (for tests/metrics)."""
-        return self.routes[dst_host]
-
     def lb_flow_counts(self) -> Optional[tuple[int, int]]:
         """The attached balancer's live ``(m_short, m_long)`` flow counts.
 

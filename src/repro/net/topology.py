@@ -91,11 +91,6 @@ class Network:
         Name-keyed node maps.  ``leaves``/``spines`` are the tier split.
     leaf_of:
         host name → its leaf switch name.
-    graph:
-        An undirected :class:`networkx.Graph` of the topology, built on
-        demand from ``ports`` (used by the generic routing module and by
-        tests asserting path counts; a leaf–spine run never reads it, so
-        never imports :mod:`networkx`).
     """
 
     def __init__(self, sim: Simulator, config: LeafSpineConfig, tracer: Tracer,
@@ -113,14 +108,6 @@ class Network:
         self.ports: dict[tuple[str, str], Port] = {}
 
     # -- introspection ------------------------------------------------------
-
-    @property
-    def graph(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_edges_from(self.ports)
-        return graph
 
     def node(self, name: str):
         """Look up any node by name."""

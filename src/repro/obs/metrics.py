@@ -140,9 +140,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._children[key] = self._children.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         with self._lock:
             return self._children.get(_label_key(labels), 0)
@@ -270,45 +267,6 @@ class MetricsRegistry:
                     for key, v in children]
             out[name] = entry
         return out
-
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's ``snapshot()`` into this one.
-
-        Counters and histograms add; gauges take the incoming value.
-        Used to aggregate per-worker snapshots into a fleet view.
-        """
-        for name, entry in snap.items():
-            kind = entry.get("kind")
-            if kind == "counter":
-                inst = self.counter(name, entry.get("help", ""),
-                                    volatile=entry.get("volatile", False))
-                for s in entry.get("samples", []):
-                    if s["value"]:
-                        inst.inc(s["value"], **s.get("labels", {}))
-            elif kind == "gauge":
-                inst = self.gauge(name, entry.get("help", ""),
-                                  volatile=entry.get("volatile", False))
-                for s in entry.get("samples", []):
-                    inst.set(s["value"], **s.get("labels", {}))
-            elif kind == "histogram":
-                inst = self.histogram(
-                    name, entry.get("help", ""),
-                    buckets=entry.get("buckets", DEFAULT_BUCKETS),
-                    volatile=entry.get("volatile", False))
-                for s in entry.get("samples", []):
-                    key = _label_key(s.get("labels", {}))
-                    with inst._lock:
-                        child = inst._children.setdefault(
-                            key, {"counts": [0] * (len(inst.buckets) + 1),
-                                  "sum": 0.0, "count": 0})
-                        incoming = list(s["counts"])
-                        if len(incoming) != len(child["counts"]):
-                            raise ValueError(
-                                f"bucket mismatch merging {name!r}")
-                        child["counts"] = [a + b for a, b in
-                                           zip(child["counts"], incoming)]
-                        child["sum"] += s["sum"]
-                        child["count"] += s["count"]
 
     # -- exposition --------------------------------------------------------
 

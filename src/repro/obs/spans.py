@@ -581,11 +581,14 @@ def load_spans(path: str | Path) -> dict:
     from repro.obs.tracers import open_trace_text
 
     path = Path(path)
-    with open_trace_text(path) as fh:
-        data = json.load(fh)
-    if data.get("format") != FORMAT:
-        raise ConfigError(
-            f"{path}: not a span file (format={data.get('format')!r})")
+    try:
+        with open_trace_text(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable span file: {exc}") from None
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != FORMAT:
+        raise ConfigError(f"{path}: not a span file (format={fmt!r})")
     return data
 
 

@@ -450,37 +450,3 @@ class Simulator:
     def stop(self) -> None:
         """Stop :meth:`run` after the currently executing event returns."""
         self._stopped = True
-
-    def step(self) -> bool:
-        """Execute exactly one pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the calendar was
-        empty (cancelled events are skipped and do not count).
-        """
-        heap = self._heap
-        while heap:
-            entry = heappop(heap)
-            if len(entry) == 3:
-                ev = entry[2]
-                if ev.cancelled:
-                    self._n_cancelled -= 1
-                    continue
-                fn = ev.fn
-                args = ev.args
-            else:
-                fn = entry[2]
-                args = entry[3]
-            self._now = entry[0]
-            self._cur_seq = entry[1]
-            fn(*args)
-            self._processed += 1
-            return True
-        return False
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` if idle."""
-        heap = self._heap
-        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
-            heappop(heap)
-            self._n_cancelled -= 1
-        return heap[0][0] if heap else None

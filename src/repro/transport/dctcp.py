@@ -17,10 +17,8 @@ Everything else (slow start, fast retransmit, RTO) is inherited from
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.packet import Packet
-from repro.transport.tcp import TcpConfig, TcpSender, _CONG_AVOID, _SLOW_START
+from repro.transport.tcp import TcpSender, _CONG_AVOID, _SLOW_START
 
 __all__ = ["DctcpSender", "DCTCP_DEFAULT_GAIN"]
 
@@ -72,9 +70,3 @@ class DctcpSender(TcpSender):
         self._marked_in_window = 0
         self._cut_this_window = False
         self._window_end = self.snd_nxt
-
-
-def make_dctcp_config(base: Optional[TcpConfig] = None) -> TcpConfig:
-    """A :class:`TcpConfig` with ECN enabled (DCTCP's requirement)."""
-    cfg = base if base is not None else TcpConfig()
-    return cfg.scaled(ecn_capable=True)

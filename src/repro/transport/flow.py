@@ -197,10 +197,6 @@ class FlowRegistry:
         """All stats records, in flow-id order."""
         return [self._stats[fid] for fid in sorted(self._stats)]
 
-    def completed_stats(self) -> list[FlowStats]:
-        """Stats of flows that delivered all their data."""
-        return [s for s in self.all_stats() if s.completed is not None]
-
     # -- events -----------------------------------------------------------
 
     def subscribe_delivery(self, fn: Callable[[Flow, float, int], None]) -> None:

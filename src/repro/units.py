@@ -53,16 +53,6 @@ def nanoseconds(value: float) -> float:
     return float(value) * 1e-9
 
 
-def as_milliseconds(t: float) -> float:
-    """Convert seconds to milliseconds (for reporting)."""
-    return t * 1e3
-
-
-def as_microseconds(t: float) -> float:
-    """Convert seconds to microseconds (for reporting)."""
-    return t * 1e6
-
-
 # --- sizes -----------------------------------------------------------------
 
 def B(value: float) -> int:
@@ -92,11 +82,6 @@ def bps(value: float) -> float:
     return float(value)
 
 
-def Kbps(value: float) -> float:
-    """Kilobits per second."""
-    return float(value) * 1e3
-
-
 def Mbps(value: float) -> float:
     """Megabits per second."""
     return float(value) * 1e6
@@ -118,11 +103,6 @@ def serialization_delay(nbytes: int, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"link rate must be positive, got {rate_bps!r}")
     return (nbytes * BITS_PER_BYTE) / rate_bps
-
-
-def bytes_in_interval(rate_bps: float, interval: float) -> float:
-    """How many bytes a link of ``rate_bps`` drains in ``interval`` seconds."""
-    return rate_bps * interval / BITS_PER_BYTE
 
 
 # --- spec rendering --------------------------------------------------------

@@ -147,34 +147,6 @@ def test_max_events_budget_is_per_run_call(sim):
     assert sim.events_processed == 5
 
 
-def test_step_executes_single_event(sim):
-    fired = []
-    sim.call_later(0.1, fired.append, "a")
-    sim.call_later(0.2, fired.append, "b")
-    assert sim.step() is True
-    assert fired == ["a"]
-    assert sim.step() is True
-    assert fired == ["a", "b"]
-    assert sim.step() is False
-
-
-def test_step_skips_cancelled(sim):
-    fired = []
-    ev = sim.call_later(0.1, fired.append, "a")
-    sim.call_later(0.2, fired.append, "b")
-    ev.cancel()
-    assert sim.step() is True
-    assert fired == ["b"]
-
-
-def test_peek_time(sim):
-    assert sim.peek_time() is None
-    ev = sim.call_later(0.5, lambda: None)
-    assert sim.peek_time() == pytest.approx(0.5)
-    ev.cancel()
-    assert sim.peek_time() is None
-
-
 def test_events_processed_counter(sim):
     for _ in range(5):
         sim.call_later(0.1, lambda: None)
@@ -246,15 +218,6 @@ def test_fast_path_validates_like_slow_path(sim):
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_fast(0.5, lambda: None)
-
-
-def test_step_and_peek_handle_fast_entries(sim):
-    fired = []
-    sim.call_later_fast(0.2, fired.append, "fast")
-    assert sim.peek_time() == pytest.approx(0.2)
-    assert sim.step() is True
-    assert fired == ["fast"]
-    assert sim.step() is False
 
 
 def test_mass_cancellation_triggers_sweep_and_preserves_live_events(sim):
@@ -375,14 +338,16 @@ def test_cur_seq_names_the_running_event_and_its_calendar_position(sim):
 def test_cur_seq_after_until_stop_and_step(sim):
     import sys
 
+    seen = []
     sim.schedule_fast(1.0, lambda: None)
     sim.schedule_fast(1.0, sim.stop)
-    sim.schedule_fast(1.0, lambda: None)
+    sim.schedule_fast(1.0, lambda: seen.append(sim._cur_seq))
     sim.run(until=0.5)
     assert (sim.now, sim._cur_seq) == (0.5, sys.maxsize)
     sim.run()  # stops inside t=1.0 with one event of that instant pending
     assert (sim.now, sim._cur_seq, sim.pending) == (1.0, 1, 1)
-    assert sim.step() and sim._cur_seq == 2
+    sim.run()
+    assert seen == [2]
 
 
 def test_revoke_removes_exactly_one_fast_entry(sim):

@@ -22,7 +22,7 @@ def test_all_examples_present():
     names = {p.name for p in EXAMPLES.glob("*.py")}
     assert {"quickstart.py", "websearch_comparison.py", "asymmetric_fabric.py",
             "model_explorer.py", "custom_scheme.py", "incast_oldi.py",
-            "queue_dynamics.py"} <= names
+            "queue_dynamics.py", "fat_tree.py"} <= names
 
 
 def test_incast_example_tiny():
@@ -49,6 +49,12 @@ def test_quickstart_small():
 def test_quickstart_list():
     out = run_example("quickstart.py", "--list")
     assert "tlb" in out and "ecmp" in out
+
+
+def test_fat_tree_tiny():
+    out = run_example("fat_tree.py", "--flows", "2", "--size-kb", "20")
+    assert "k=4 fat tree" in out
+    assert "ecmp_fct_ms" in out and "tlb_fct_ms" in out
 
 
 def test_model_explorer():

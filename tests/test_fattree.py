@@ -1,12 +1,24 @@
-"""Tests for the k-ary fat-tree builder."""
+"""Tests for the k-ary fat tree and its generic ECMP router
+(``examples/fat_tree.py``, loaded as a module)."""
 
+import importlib.util
+import pathlib
+
+import networkx as nx
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import RoutingError, TopologyError
 from repro.lb import attach_scheme
-from repro.net.fattree import build_fat_tree
-from repro.transport.flow import FlowRegistry
-from repro.workload.generator import StaticWorkload
+from repro.net.topology import build_two_leaf_fabric
+
+_SPEC = importlib.util.spec_from_file_location(
+    "fat_tree",
+    pathlib.Path(__file__).resolve().parent.parent / "examples" / "fat_tree.py")
+fat_tree = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(fat_tree)
+build_fat_tree = fat_tree.build_fat_tree
+ecmp_next_hops = fat_tree.ecmp_next_hops
+install_ecmp_routes = fat_tree.install_ecmp_routes
 
 
 def test_k4_shape():
@@ -57,23 +69,9 @@ def test_uplink_ports_fallback():
 
 @pytest.mark.parametrize("scheme", ["ecmp", "rps", "tlb"])
 def test_traffic_completes_across_pods(scheme):
-    net = build_fat_tree(4)
-    attach_scheme(net, scheme)
-    reg = FlowRegistry()
-    # StaticWorkload uses leaves[0]/leaves[1] = edge0_0 -> edge0_1
-    # (same pod, via aggs); run inter-pod flows manually instead.
-    from repro.transport import DctcpSender, Flow, make_listener
-
-    listener = make_listener(net.sim, reg)
-    for h in net.hosts.values():
-        h.set_listener(listener)
-    src = net.hosts_under(net.switches["edge0_0"])[0].name
-    dst = net.hosts_under(net.switches["edge2_0"])[0].name
-    flow = Flow(id=1, src=src, dst=dst, size=200_000, start_time=0.0)
-    stats = reg.add(flow)
-    sender = DctcpSender(net.sim, net.hosts[src], flow, stats)
-    net.sim.call_later(0.0, sender.start)
-    net.sim.run(until=0.5)
+    # flow 1 runs h0 (edge0_0, pod 0) -> h8 (edge2_0, pod 2)
+    (stats,) = fat_tree.run_inter_pod_flows(scheme, n_flows=1)
+    assert (stats.flow.src, stats.flow.dst) == ("h0", "h8")
     assert stats.completed is not None
     assert stats.bytes_delivered == 200_000
 
@@ -83,3 +81,61 @@ def test_fat_tree_deterministic_per_seed():
     b = build_fat_tree(4, seed=9)
     assert sorted(a.ports) == sorted(b.ports)
     assert sorted(a.hosts) == sorted(b.hosts)
+
+
+# -- the generic ECMP router ----------------------------------------------
+
+def test_next_hops_on_leaf_spine():
+    net = build_two_leaf_fabric(n_paths=4, hosts_per_leaf=2)
+    hops = ecmp_next_hops(nx.Graph(list(net.ports)), "h2")
+    # leaf0 has all four spines as next hops towards a remote host
+    assert hops["leaf0"] == [f"spine{i}" for i in range(4)]
+    # spines forward to leaf1
+    assert hops["spine0"] == ["leaf1"]
+    # the destination's leaf goes straight down
+    assert hops["leaf1"] == ["h2"]
+    # the source host's only next hop is its leaf
+    assert hops["h0"] == ["leaf0"]
+
+
+def test_unknown_destination_raises():
+    g = nx.path_graph(3)
+    with pytest.raises(RoutingError):
+        ecmp_next_hops(g, 99)
+
+
+def test_unreachable_node_raises():
+    g = nx.Graph()
+    g.add_edge("a", "b")
+    g.add_node("island")
+    with pytest.raises(RoutingError):
+        ecmp_next_hops(g, "a")
+
+
+def test_install_matches_builtin_routes():
+    """Generic ECMP derivation must agree with the builder's routes."""
+    net = build_two_leaf_fabric(n_paths=3, hosts_per_leaf=2)
+    builtin = {
+        (sw.name, dst): tuple(p.name for p in ports)
+        for sw in net.switches.values()
+        for dst, ports in sw.routes.items()
+    }
+    # wipe and reinstall
+    for sw in net.switches.values():
+        sw.routes.clear()
+    install_ecmp_routes(net)
+    regenerated = {
+        (sw.name, dst): tuple(p.name for p in ports)
+        for sw in net.switches.values()
+        for dst, ports in sw.routes.items()
+    }
+    assert regenerated == builtin
+
+
+def test_install_subset_of_hosts():
+    net = build_two_leaf_fabric(n_paths=2, hosts_per_leaf=2)
+    for sw in net.switches.values():
+        sw.routes.clear()
+    install_ecmp_routes(net, host_names=["h0"])
+    assert "h0" in net.leaves[1].routes
+    assert "h1" not in net.leaves[1].routes

@@ -82,6 +82,8 @@ def test_node_kinds_take_switch_targets():
     "0.1:link_down",                       # missing target
     "x:link_down:leaf0-spine0",            # bad time
     "-1:link_down:leaf0-spine0",           # negative time
+    "nan:link_down:leaf0-spine0",          # non-finite times
+    "inf:link_down:leaf0-spine0",
     "0.1:meteor_strike:leaf0-spine0",      # unknown kind
     "0.1:link_down:leaf0",                 # link target without '-'
     "0.1:link_down:leaf0-spine0:melt",     # unknown down mode

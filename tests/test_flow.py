@@ -125,10 +125,3 @@ def test_registry_observers():
     assert dups == [0.2]
 
 
-def test_completed_stats_filter():
-    reg = FlowRegistry()
-    s1 = reg.add(_flow(id=1))
-    reg.add(_flow(id=2))
-    s1.completed = 0.5
-    assert [s.flow.id for s in reg.completed_stats()] == [1]
-    assert len(reg.all_stats()) == 2

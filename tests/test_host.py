@@ -87,7 +87,7 @@ def test_data_without_listener_raises(sim):
 def test_unregister_flow(sim):
     h = Host(sim, "h0")
     h.register_sender(1, Recorder())
-    h.register_receiver(1, Recorder())
+    h.receivers[1] = Recorder()
     h.unregister_flow(1)
     assert 1 not in h.senders and 1 not in h.receivers
     h.unregister_flow(1)  # idempotent

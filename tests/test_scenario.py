@@ -162,12 +162,29 @@ def test_format_table_alignment():
 
 
 def test_running_a_scenario_does_not_import_scipy():
-    """scipy serves only the CI half-width in ``experiments.stats``, and
-    networkx only fat-tree / generic routing (``Network.graph``); every
-    run, pool worker and fleet worker would otherwise pay their import."""
+    """scipy serves only the CI half-width in ``experiments.stats``; every
+    run, pool worker and fleet worker would otherwise pay its import.
+    networkx is a test-only dependency (``examples/fat_tree.py``), so no
+    module under ``src/`` may import it, not even inside a function."""
+    import ast
     import os
+    import pathlib
     import subprocess
     import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+    paths = sorted(src.rglob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "networkx" for n in names), \
+                f"{path} imports networkx"
 
     code = (
         "import sys\n"

@@ -273,10 +273,17 @@ def test_explain_single_flow_and_missing_flow(tmp_path):
         explain_payload(data, flow=999_999)
 
 
-def test_load_spans_rejects_non_span_json(tmp_path):
+@pytest.mark.parametrize("content", [
+    None,
+    "not json {",
+    json.dumps([1, 2]),
+    json.dumps({"format": "other"}),
+], ids=["missing", "not-json", "json-list", "wrong-format"])
+def test_load_spans_rejects_non_span_json(tmp_path, content):
     bogus = tmp_path / "x.spans.json"
-    bogus.write_text(json.dumps({"format": "other"}))
-    with pytest.raises(ConfigError):
+    if content is not None:
+        bogus.write_text(content)
+    with pytest.raises(ConfigError, match="x.spans.json"):
         load_spans(bogus)
 
 

@@ -95,7 +95,3 @@ def test_packets_forwarded_counter(sim):
     assert sw.packets_forwarded == 4
 
 
-def test_uplinks_for(sim):
-    sw, _, _, pa, pb = _switch_with_two_paths(sim)
-    sw.set_route("h1", [pa, pb])
-    assert sw.uplinks_for("h1") == (pa, pb)

@@ -67,11 +67,12 @@ def test_packet_traverses_fabric(small_fabric):
 
 def test_graph_mirrors_links():
     net = build_two_leaf_fabric(n_paths=3, hosts_per_leaf=2)
-    # 4 host links + 2 leaves * 3 spines = 10 edges
-    assert net.graph.number_of_edges() == 10
-    # 15 equal-cost paths claim: paths h0 -> h2 through distinct spines
     import networkx as nx
-    paths = list(nx.all_shortest_paths(net.graph, "h0", "h2"))
+    graph = nx.Graph(list(net.ports))
+    # 4 host links + 2 leaves * 3 spines = 10 edges
+    assert graph.number_of_edges() == 10
+    # 15 equal-cost paths claim: paths h0 -> h2 through distinct spines
+    paths = list(nx.all_shortest_paths(graph, "h0", "h2"))
     assert len(paths) == 3
 
 
