@@ -69,6 +69,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro._version import __version__
+from repro.errors import ConfigError
 
 __all__ = ["main", "build_parser"]
 
@@ -138,7 +139,6 @@ def _add_grid_args(parser: argparse.ArgumentParser, *, progress_help: str,
 
 def _grid_configs(args: argparse.Namespace) -> list:
     """The cells the grid flags describe, in grid order."""
-    from repro.errors import ConfigError
     from repro.experiments.largescale import default_config, load_grid
     from repro.workload.scenarios import parse_scenario
 
@@ -861,7 +861,17 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; a bad configuration or spec (any
+    :class:`~repro.errors.ConfigError`) is one usage-error line, exit 2."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "schemes":
         return _cmd_schemes()
     if args.command == "workloads":

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.experiments.common import ScenarioConfig
 from repro.experiments.report import panel_tables
 from repro.experiments.runner import run_many

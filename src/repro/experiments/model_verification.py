@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core import model
-from repro.core.config import TlbConfig
 from repro.errors import ModelError
 from repro.experiments.common import ScenarioConfig, run_scenario_metrics
 from repro.experiments.report import format_table

@@ -33,7 +33,6 @@ from repro.sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.port import Port
-    from repro.net.switch import Switch
     from repro.net.topology import Network
 
 __all__ = ["FaultInjector"]

@@ -12,14 +12,18 @@ the single source of truth for *what the sweep is* and *how far it got*:
 
 Durability model
 ----------------
-The *plan* (header + cells) is written through a temporary file and
-:func:`os.replace`, like the result cache: a crash during planning
-leaves no journal at all, never a half-plan.  Runtime records are
-appended one fsync'd line at a time with ``O_APPEND``, which POSIX makes
-atomic for writes of this size; a process killed mid-append can at worst
-leave one torn trailing line, which readers leave unconsumed (the cell
-it described merely looks unfinished and is re-run — correctness is
-never at stake because results live in the cache).
+The *plan* (header + cells) is written through a temporary file,
+fsync'd and :func:`os.replace`'d, once per sweep: a crash during
+planning leaves no journal at all, never a half-plan.  Runtime records
+are appended one line at a time with ``O_APPEND``, which POSIX makes
+atomic for writes of this size, and are *not* fsync'd.  A killed
+process (SIGKILL) loses nothing that reached the page cache, so every
+guarantee below holds.  An OS crash or power loss may lose the newest
+records and leave a torn last line, which readers skip; a cell whose
+``done`` was lost looks unfinished and is re-claimed, which costs a
+cache hit or a deterministic recompute.  Nothing is trusted that was
+not re-checked: the collector recomputes any ``done`` cell whose cache
+entry is missing, and the cache quarantines a torn entry as a miss.
 
 Replaying the journal (:meth:`FleetState.apply`, one record at a time)
 is idempotent and order-tolerant within a cell: ``done`` is terminal, a
@@ -157,11 +161,13 @@ def resolve_callable(spec: str) -> Callable:
 # -- config (de)serialisation ----------------------------------------------
 
 def config_to_json(config: Any) -> dict:
-    """A JSON-safe dict for a (dataclass) scenario config."""
+    """A JSON-safe dict for a flat (dataclass) scenario config: the field
+    values themselves, not :func:`dataclasses.asdict`'s deep copy."""
     if not dataclasses.is_dataclass(config) or isinstance(config, type):
         raise FleetError(
             f"fleet cells must be dataclass configs, got {type(config).__name__}")
-    return dataclasses.asdict(config)
+    return {f.name: getattr(config, f.name)
+            for f in dataclasses.fields(config)}
 
 
 def config_from_json(cls: type, data: dict) -> Any:
@@ -210,10 +216,11 @@ def write_plan(path: Path, header: dict, cells: Iterable[dict]) -> None:
 
 
 def append_record(path: Path, record: dict) -> None:
-    """Append one journal line (single ``O_APPEND`` write + fsync).
+    """Append one journal line (a single ``O_APPEND`` write, no fsync).
 
-    Lifecycle records are rare (a handful per cell), so the fsync cost
-    is irrelevant next to the simulation time it protects.
+    Every cell appends at least two records, and an fsync costs more
+    than a short cell's whole run; what an unsynced record can lose is
+    set out in the module's "Durability model".
 
     Self-healing after a torn tail: if the last byte on disk is not a
     newline (a writer died mid-append), the new record is written on a
@@ -230,7 +237,6 @@ def append_record(path: Path, record: dict) -> None:
         if size and os.pread(fd, 1, size - 1) != b"\n":
             line = b"\n" + line
         os.write(fd, line)
-        os.fsync(fd)
     finally:
         os.close(fd)
 
@@ -466,9 +472,8 @@ def load_state(path: Path) -> FleetState:
 def new_header(*, runner_spec: str, config_type_spec: str, fingerprint: str,
                cache_dir: str, n_cells: int, max_attempts: int,
                backoff_base: float, lease_ttl: float, max_reclaims: int = 5,
-               clock: Callable[[], float] = time.time,
-               extra: Optional[dict] = None) -> dict:
-    header = {
+               clock: Callable[[], float] = time.time) -> dict:
+    return {
         "kind": "fleet",
         "version": JOURNAL_VERSION,
         "created": clock(),
@@ -482,6 +487,3 @@ def new_header(*, runner_spec: str, config_type_spec: str, fingerprint: str,
         "backoff_base": backoff_base,
         "lease_ttl": lease_ttl,
     }
-    if extra:
-        header.update(extra)
-    return header

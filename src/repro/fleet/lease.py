@@ -32,6 +32,9 @@ from typing import Callable, Optional
 
 __all__ = ["Lease", "acquire", "read_lease", "release", "renew", "stale"]
 
+#: this machine's name, read once for every lease and status payload
+HOST = socket.gethostname()
+
 
 @dataclass
 class Lease:
@@ -48,7 +51,7 @@ class Lease:
             "cell": self.cell,
             "worker": self.worker,
             "pid": os.getpid(),
-            "host": socket.gethostname(),
+            "host": HOST,
             "acquired": self.acquired,
             "heartbeat": heartbeat,
         }
@@ -70,7 +73,6 @@ def acquire(leases_dir: Path, cell: str, worker: str,
         return None
     try:
         os.write(fd, json.dumps(lease.payload(now), sort_keys=True).encode())
-        os.fsync(fd)
     finally:
         os.close(fd)
     return lease
@@ -95,11 +97,15 @@ def renew(lease: Lease) -> bool:
     current = read_lease(lease.path)
     if current is None or current.get("worker") != lease.worker:
         return False
-    tmp = lease.path.parent / f".{lease.path.name}.tmp-{os.getpid()}"
+    return write_json(lease.path, lease.payload(lease.clock()))
+
+
+def write_json(path: Path, payload: dict) -> bool:
+    """Replace ``path`` with ``payload`` atomically (tmp + rename)."""
+    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
     try:
-        tmp.write_text(json.dumps(lease.payload(lease.clock()),
-                                  sort_keys=True))
-        os.replace(tmp, lease.path)
+        tmp.write_text(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
     except OSError:
         try:
             tmp.unlink()

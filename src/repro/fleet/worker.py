@@ -10,11 +10,16 @@ everything finished.  The loop is::
           first whose backoff has passed
         claimed?  probe the cache first (another fleet may have computed
           it) — a hit journals ``done`` without running anything;
-          otherwise run the cell under a heartbeat thread, write the
-          result to the cache *first*, then journal ``done``, then
-          release the lease
+          otherwise run the cell, write the result to the cache
+          *first*, then journal ``done``, then release the lease
         nothing claimable?  run the watchdog, then sleep one poll
         nothing pending?  confirm with a from-zero fold, then stop
+
+One heartbeat thread lives as long as the worker: every ``lease_ttl/4``
+seconds it renews the held lease, if any, and rewrites the status file,
+busy or idle.  The status file is otherwise written only at start and
+exit, never per cell, and nothing per cell calls ``fsync`` (see the
+"Durability model" of :mod:`repro.fleet.journal`).
 
 Crash ordering: the cache write precedes the ``done`` record, so a
 worker killed between the two leaves a stale lease; the reclaiming
@@ -37,10 +42,8 @@ to retry, up to ``max_attempts`` across the whole fleet.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
-import socket
 import threading
 import time
 import traceback as _traceback
@@ -60,29 +63,7 @@ __all__ = ["FleetWorker", "worker_id"]
 
 def worker_id() -> str:
     """A globally unique worker name: host, pid, and a random tag."""
-    return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
-
-
-class _Heartbeat(threading.Thread):
-    """Calls ``beat`` every ``interval`` seconds until stopped."""
-
-    def __init__(self, interval: float, beat: Callable[[], None]):
-        super().__init__(daemon=True, name="fleet-heartbeat")
-        self.interval = interval
-        self.beat = beat
-        # NB: not ``_stop`` — threading.Thread uses that name internally
-        self._halt = threading.Event()
-
-    def run(self) -> None:  # pragma: no cover - exercised via the worker
-        while not self._halt.wait(self.interval):
-            try:
-                self.beat()
-            except Exception:
-                pass  # a failed beat must never kill the run
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=2.0)
+    return f"{ln.HOST}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
 
 class FleetWorker:
@@ -141,6 +122,7 @@ class FleetWorker:
         self.cache = cache
         self.runner = runner if runner is not None else \
             jn.resolve_callable(self.header["runner"])
+        self.config_type = state.config_type()
         self.watchdog = Watchdog(
             self.paths, lease_ttl=self.lease_ttl,
             max_attempts=self.max_attempts,
@@ -151,6 +133,10 @@ class FleetWorker:
         self.done_count = 0
         self.failed_count = 0
         self._current_cell = ""
+        #: the lease held while a cell runs; the heartbeat renews it
+        self._lease: Optional[ln.Lease] = None
+        #: serialises the heartbeat's renew against the lease's release
+        self._lock = threading.Lock()
         # Monotonic birth time: the status file's ``uptime`` delta is
         # what observers judge liveness by (immune to wall-clock skew
         # between hosts sharing the fleet directory over NFS).
@@ -177,12 +163,11 @@ class FleetWorker:
     # -- worker status file ------------------------------------------------
 
     def _write_status(self, state: str) -> None:
-        path = self.paths.workers / f"{self.name}.json"
         self._beats += 1
-        payload = {
+        ln.write_json(self.paths.workers / f"{self.name}.json", {
             "worker": self.name,
             "pid": os.getpid(),
-            "host": socket.gethostname(),
+            "host": ln.HOST,
             "heartbeat": self.clock(),
             # Seconds since worker start on *this worker's* monotonic
             # clock: observers detect staleness by this value failing to
@@ -194,38 +179,39 @@ class FleetWorker:
             "cell": self._current_cell,
             "done": self.done_count,
             "failed": self.failed_count,
-        }
-        tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-        try:
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+        })
 
     # -- one cell ----------------------------------------------------------
 
     def _journal(self, record: dict) -> None:
         jn.append_record(self.paths.journal, record)
 
-    def _beat(self, lease: ln.Lease) -> None:
-        """One heartbeat: renew the lease, note the outcome, rewrite status."""
-        renewed = ln.renew(lease)
-        self._count("repro_fleet_lease_renewals_total",
-                    "Lease heartbeat renewals, by outcome.",
-                    result="ok" if renewed else "lost")
-        self._write_status("running")
+    def _heartbeat(self, halt: threading.Event) -> None:
+        """The worker's one heartbeat thread: a beat per interval."""
+        while not halt.wait(self.heartbeat_interval):
+            try:
+                self._beat()
+            except Exception:
+                pass  # a failed beat must never kill the worker
+
+    def _beat(self) -> None:
+        """One heartbeat: renew the held lease, if any; rewrite status."""
+        with self._lock:
+            state = "draining" if self.draining else "idle"
+            if self._lease is not None:
+                renewed = ln.renew(self._lease)
+                self._count("repro_fleet_lease_renewals_total",
+                            "Lease heartbeat renewals, by outcome.",
+                            result="ok" if renewed else "lost")
+                state = "running"
+            self._write_status(state)
 
     def _run_cell(self, cell: jn.CellState, lease: ln.Lease) -> None:
         """Run one claimed cell end to end; always releases the lease."""
         self._current_cell = cell.key
-        heartbeat = _Heartbeat(self.heartbeat_interval,
-                               lambda: self._beat(lease))
+        self._lease = lease
         try:
-            config = jn.config_from_json(
-                jn.resolve_callable(self.header["config_type"]), cell.config)
+            config = jn.config_from_json(self.config_type, cell.config)
             self._journal({"kind": "claim", "cell": cell.key,
                            "worker": self.name, "t": self.clock()})
             self._count("repro_fleet_claims_total",
@@ -242,7 +228,6 @@ class FleetWorker:
                             from_cache="true")
                 self.done_count += 1
                 return
-            heartbeat.start()
             t0 = self.clock()
             try:
                 result = self.runner(config)
@@ -250,22 +235,21 @@ class FleetWorker:
                 self._record_error(cell, exc)
                 return
             self.cache.put_key(cell.key, result, config)
+            t1 = self.clock()
             self._journal({"kind": "done", "cell": cell.key,
-                           "worker": self.name, "t": self.clock(),
-                           "elapsed": self.clock() - t0})
+                           "worker": self.name, "t": t1, "elapsed": t1 - t0})
             self._count("repro_fleet_done_total",
                         "Cells finished by this worker.", from_cache="false")
             self._metrics.histogram(
                 "repro_fleet_cell_seconds",
                 "Wall-clock runtime of computed cells.",
-                volatile=True).observe(self.clock() - t0)
+                volatile=True).observe(t1 - t0)
             self.done_count += 1
         finally:
-            if heartbeat.is_alive():
-                heartbeat.stop()
-            ln.release(lease)
-            self._current_cell = ""
-            self._write_status("draining" if self.draining else "idle")
+            with self._lock:  # no beat may re-create a released lease
+                self._lease = None
+                self._current_cell = ""
+                ln.release(lease)
 
     def _record_error(self, cell: jn.CellState, exc: Exception) -> None:
         now = self.clock()
@@ -305,6 +289,10 @@ class FleetWorker:
         included).
         """
         self._write_status("idle")
+        halt = threading.Event()
+        heartbeat = threading.Thread(target=self._heartbeat, args=(halt,),
+                                     name="fleet-heartbeat", daemon=True)
+        heartbeat.start()
         try:
             while not self.draining:
                 if self._follower.finished():
@@ -330,13 +318,16 @@ class FleetWorker:
                     continue
                 time.sleep(self.poll)
         finally:
+            halt.set()
+            heartbeat.join(timeout=2.0)
             if self.draining:
                 self._journal({"kind": "drain", "worker": self.name,
                                "signal": self.drain_signal or "drain",
                                "t": self.clock()})
                 self._count("repro_fleet_drains_total",
                             "Graceful worker drains.")
-            self._write_status("drained" if self.draining else "done")
+            with self._lock:
+                self._write_status("drained" if self.draining else "done")
         return self.done_count
 
 

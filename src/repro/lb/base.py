@@ -11,7 +11,7 @@ relative CPU/memory scores the figure compares.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import SchemeError

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.metrics.collector import RunMetrics
 from repro.metrics.timeseries import BinnedSeries

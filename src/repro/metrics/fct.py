@@ -7,7 +7,7 @@ FCT CDFs (Fig. 3c), and normalised AFCT across schemes (Figs. 13–14, 16–17).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

@@ -16,7 +16,7 @@ which operation counting reproduces deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.lb.base import LbCounters, LoadBalancer
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.metrics.fct import is_short
 from repro.metrics.timeseries import BinnedSeries
-from repro.transport.flow import Flow, FlowRegistry, FlowStats
+from repro.transport.flow import Flow, FlowStats
 from repro.units import KB, milliseconds
 
 __all__ = ["ThroughputTracker", "long_flow_goodputs", "mean_long_goodput"]

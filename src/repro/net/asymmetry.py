@@ -11,7 +11,7 @@ the situation that penalises reordering-prone schemes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.errors import TopologyError
 from repro.net.topology import Network

@@ -20,7 +20,7 @@ Round-trip propagation delay: a one-way path crosses four links
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import TopologyError

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-import heapq
 import json
 from collections import Counter
 from heapq import heappush, heapreplace

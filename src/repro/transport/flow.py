@@ -12,7 +12,7 @@ collectors) subscribe to delivery/completion events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigError, TransportError
-from repro.net.packet import ACK_SIZE, Packet
+from repro.net.packet import Packet
 from repro.sim.engine import Event, Simulator
 from repro.transport.flow import Flow, FlowStats
 from repro.transport.rto import RtoEstimator

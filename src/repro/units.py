@@ -33,11 +33,6 @@ DEFAULT_PACKET_BYTES = DEFAULT_MSS + DEFAULT_HEADER
 
 # --- time ------------------------------------------------------------------
 
-def seconds(value: float) -> float:
-    """Identity helper for symmetry with the other time constructors."""
-    return float(value)
-
-
 def milliseconds(value: float) -> float:
     """Convert milliseconds to seconds."""
     return float(value) * 1e-3
@@ -48,17 +43,7 @@ def microseconds(value: float) -> float:
     return float(value) * 1e-6
 
 
-def nanoseconds(value: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return float(value) * 1e-9
-
-
 # --- sizes -----------------------------------------------------------------
-
-def B(value: float) -> int:
-    """Bytes (identity, rounded to an int)."""
-    return int(round(value))
-
 
 def KB(value: float) -> int:
     """Kilobytes (decimal, as used by the paper: 100KB thresholds etc.)."""
@@ -76,11 +61,6 @@ def KiB(value: float) -> int:
 
 
 # --- rates -----------------------------------------------------------------
-
-def bps(value: float) -> float:
-    """Bits per second (identity)."""
-    return float(value)
-
 
 def Mbps(value: float) -> float:
     """Megabits per second."""

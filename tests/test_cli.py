@@ -102,12 +102,35 @@ def test_run_command_with_faults(capsys):
     assert "scheme=tlb" in out
 
 
-def test_run_command_rejects_malformed_fault_spec():
-    from repro.errors import FaultError
+def _usage_error(capsys, argv) -> str:
+    """Run ``argv``, expecting exit 2 and one ``repro: error:`` line."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("repro: error: ")
+    return line
 
-    with pytest.raises(FaultError):
-        main(["run", "--short-flows", "6", "--long-flows", "1",
-              "--paths", "4", "--faults", "0.1:meteor:leaf0-spine1"])
+
+def test_run_command_rejects_malformed_fault_spec(capsys):
+    line = _usage_error(capsys, [
+        "run", "--short-flows", "6", "--long-flows", "1",
+        "--paths", "4", "--faults", "0.1:meteor:leaf0-spine1"])
+    assert "unknown fault kind 'meteor'" in line
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--short-flows", "6", "--long-flows", "1", "--paths", "4"],
+    ["sweep", "--schemes", "ecmp", "--loads", "0.3", "--flows", "10"],
+], ids=["run", "sweep"])
+@pytest.mark.parametrize("flag,spec,message", [
+    ("--faults", "0.1:meteor_strike:leaf0-spine1",
+     "unknown fault kind 'meteor_strike'"),
+    ("--workload", "zipf:s=-1", "zipf s must be in (0, 4], got -1.0"),
+], ids=["faults", "workload"])
+def test_bad_spec_is_one_usage_error_line(capsys, command, flag, spec,
+                                          message):
+    assert message in _usage_error(capsys, [*command, flag, spec])
 
 
 def test_sweep_command_with_faults_and_retries(capsys, tmp_path):
@@ -597,11 +620,10 @@ def test_run_command_with_scenario_workload(capsys):
     assert "scheme=ecmp" in out
 
 
-def test_run_command_rejects_bad_workload_spec():
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        main(["run", "--workload", "nosuchkind:x=1", "--flows", "8"])
+def test_run_command_rejects_bad_workload_spec(capsys):
+    line = _usage_error(capsys, [
+        "run", "--workload", "nosuchkind:x=1", "--flows", "8"])
+    assert "nosuchkind" in line
 
 
 def test_sweep_and_fleet_parsers_accept_workload():
@@ -615,18 +637,15 @@ def test_sweep_and_fleet_parsers_accept_workload():
 
 
 def test_grid_rejects_a_load_axis_the_spec_ignores(capsys):
-    from repro.errors import ConfigError
-
     grid = ["--schemes", "ecmp", "--flows", "40", "--processes", "0"]
     # the spec's own load= wins over --loads (and incast never reads it):
     # two loads would print two differently-labelled copies of one run
     for spec in ("zipf:s=1.2,load=0.5", "incast:fanin=8,period=10ms"):
-        with pytest.raises(ConfigError, match="does not read the load axis"):
-            main(["sweep", *grid, "--loads", "0.2", "0.8",
-                  "--workload", spec])
-    with pytest.raises(ConfigError, match="pass one --loads value"):
-        main(["fleet", "run", "--dir", "unused", "--schemes", "ecmp",
-              "--loads", "0.2", "0.8", "--workload", "static"])
+        assert "does not read the load axis" in _usage_error(capsys, [
+            "sweep", *grid, "--loads", "0.2", "0.8", "--workload", spec])
+    assert "pass one --loads value" in _usage_error(capsys, [
+        "fleet", "run", "--dir", "unused", "--schemes", "ecmp",
+        "--loads", "0.2", "0.8", "--workload", "static"])
     # one nominal load is a label, not an axis; and a spec without load=
     # does read the axis
     assert main(["sweep", *grid, "--loads", "0.4",

@@ -6,6 +6,10 @@ isolation with fake clocks and the inline (``workers=0``) path.
 """
 
 import json
+import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.experiments.runner import TaskError, TaskFailure, run_many
 from repro.fleet import (
     FleetObserver,
     FleetPaths,
+    FleetWorker,
     Watchdog,
     format_summary,
     format_top,
@@ -359,3 +364,142 @@ def test_cli_fleet_status_missing_dir(tmp_path, capsys):
 
     assert main(["fleet", "status", "--dir", str(tmp_path / "nope")]) == 1
     assert "no fleet journal" in capsys.readouterr().err
+
+
+# -- durability design ------------------------------------------------------
+
+def test_inline_fleet_fsyncs_only_its_plan(tmp_path, monkeypatch):
+    """The plan is fsync'd once per sweep; no lease, journal record or
+    status write on the per-cell path calls ``fsync``."""
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        synced.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    cells, _ = _grid(tmp_path, n=4)
+    result = run_fleet(cells, fleet_dir=tmp_path / "fleet",
+                       cache=_cache(tmp_path), workers=0, runner=compute,
+                       lease_ttl=5.0)
+    assert result.complete and result.computed == 4
+    assert len(synced) == 1
+
+
+def test_status_file_writes_scale_with_time_not_cells(tmp_path):
+    """The worker status file is written at start, once per heartbeat
+    and at exit — never once per cell."""
+    cells, _ = _grid(tmp_path, n=20)
+    lease_ttl = 30.0
+    t0 = time.monotonic()
+    result = run_fleet(cells, fleet_dir=tmp_path / "fleet",
+                       cache=_cache(tmp_path), workers=0, runner=compute,
+                       lease_ttl=lease_ttl)
+    elapsed = time.monotonic() - t0
+    assert result.computed == 20
+    (status,) = FleetPaths(tmp_path / "fleet").worker_files()
+    doc = json.loads(status.read_text())
+    assert doc["state"] == "done"
+    beats = int(elapsed / (lease_ttl / 4.0))
+    assert doc["beats"] <= 2 + beats
+
+
+def test_heartbeats_never_resurrect_a_released_lease(tmp_path):
+    """Three worker threads (more than the cores) beat every 50 ms
+    while short cells claim and release leases, with the interpreter
+    switching threads every 10 µs: a renew that raced a release would
+    re-create the lease file of a finished cell."""
+    cells = [Cell(tag=f"s{i}", sleep=0.002) for i in range(60)]
+    cache = _cache(tmp_path)
+    fleet_dir = tmp_path / "fleet"
+    plan_fleet(fleet_dir, cells, cache=cache, runner=compute, lease_ttl=0.2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=FleetWorker(
+            fleet_dir, cache=cache, runner=compute, worker_name=f"w{i}",
+            poll=0.01).run) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    paths = FleetPaths(fleet_dir)
+    assert jn.load_state(paths.journal).counts()[jn.DONE] == len(cells)
+    assert paths.lease_files() == []
+
+
+def _lose_power(fleet_dir, cache_root):
+    """What an OS crash may leave: the journal cut back to its plan
+    records, one cache entry truncated to 0 bytes.  Returns the entry."""
+    journal = FleetPaths(fleet_dir).journal
+    records = [json.loads(line) for line in journal.read_text().splitlines()]
+    plan = [r for r in records if r["kind"] in ("fleet", "cell")]
+    assert len(plan) < len(records)  # the finished fleet journaled more
+    journal.write_text("".join(json.dumps(r) + "\n" for r in plan))
+    victim = sorted((cache_root / "objects").glob("*.pkl"))[0]
+    victim.write_bytes(b"")
+    return victim
+
+
+def _tiny_configs():
+    from repro.experiments.common import ScenarioConfig
+
+    return [ScenarioConfig(scheme=scheme, n_short=4, n_long=0, n_paths=4,
+                           hosts_per_leaf=4, horizon=0.5, seed=seed)
+            for scheme in ("ecmp", "tlb") for seed in (1, 2)]
+
+
+def test_power_loss_replay_through_run_many_matches_serial(tmp_path):
+    """After lost journal records and a torn cache entry, resuming the
+    same fleet directory yields the serial rows: every cell is
+    re-claimed, three are cache hits, the torn one is quarantined and
+    recomputed."""
+    from repro.metrics.export import metrics_to_dict
+
+    configs = _tiny_configs()
+    serial = run_many(configs, processes=0)
+    fleet_dir = tmp_path / "fleet"
+    run_many(configs, processes=0, cache=_cache(tmp_path),
+             fleet_dir=fleet_dir)
+    victim = _lose_power(fleet_dir, tmp_path / "cache")
+
+    cache = _cache(tmp_path)
+    replay = run_many(configs, processes=0, cache=cache, fleet_dir=fleet_dir)
+    assert [metrics_to_dict(r) for r in replay] == \
+        [metrics_to_dict(r) for r in serial]
+    assert cache.stats().quarantined == 1
+    assert victim.stat().st_size > 0  # recomputed and stored again
+    done = [r for r in jn.read_records(FleetPaths(fleet_dir).journal)
+            if r["kind"] == "done"]
+    assert len(done) == len(configs)
+    assert sum(1 for r in done if not r.get("from_cache")) == 1
+
+
+def test_power_loss_replay_through_fleet_resume_matches_serial(tmp_path,
+                                                               capsys):
+    """``repro fleet resume`` over a power-cut fleet directory writes the
+    CSV ``repro sweep --processes 0`` writes over the same grid."""
+    from repro.cli import main
+
+    grid = ["--schemes", "ecmp", "tlb", "--loads", "0.3", "--flows", "10"]
+    fleet_dir, cache_dir = tmp_path / "fdir", tmp_path / "fcache"
+    serial_csv = tmp_path / "serial" / "out.csv"
+    resumed_csv = tmp_path / "resumed" / "out.csv"
+    serial_csv.parent.mkdir()
+    resumed_csv.parent.mkdir()
+    assert main(["sweep", *grid, "--processes", "0",
+                 "--csv", str(serial_csv)]) == 0
+    assert main(["fleet", "run", "--dir", str(fleet_dir), *grid,
+                 "--workers", "0", "--cache-dir", str(cache_dir)]) == 0
+    victim = _lose_power(fleet_dir, cache_dir)
+    assert main(["fleet", "resume", "--dir", str(fleet_dir),
+                 "--workers", "0", "--cache-dir", str(cache_dir),
+                 "--csv", str(resumed_csv)]) == 0
+    capsys.readouterr()
+    assert resumed_csv.read_bytes() == serial_csv.read_bytes()
+    assert victim.stat().st_size > 0
+    assert len(list((cache_dir / "quarantine").glob("*.pkl"))) == 1

@@ -8,10 +8,11 @@ guarantee end to end.
 
 import json
 import re
+import threading
 import time
 
 from fleet_helpers import Cell, compute
-from repro.fleet import FleetPaths, run_fleet
+from repro.fleet import FleetPaths, FleetWorker, plan_fleet, run_fleet
 from repro.fleet import journal as jn
 from repro.fleet.observer import (
     FleetObserver,
@@ -521,3 +522,43 @@ def test_fleet_result_carries_the_metrics_it_wrote(tmp_path):
                        workers=0, runner=compute)
     assert result.metrics.canonical_json() == (
         tmp_path / "fleet" / METRICS_JSON_NAME).read_text()
+
+
+def test_idle_worker_waiting_on_a_long_cell_stays_live(tmp_path):
+    """A worker with nothing left to claim keeps heartbeating while
+    another worker runs a long cell, so every refresh reads it live."""
+    cache = ResultCache(tmp_path / "cache", fingerprint=FP)
+    fleet_dir = tmp_path / "fleet"
+    plan_fleet(fleet_dir, [Cell(tag="slow", sleep=2.0), Cell(tag="quick")],
+               cache=cache, runner=compute, lease_ttl=0.4)
+    paths = FleetPaths(fleet_dir)
+
+    def start(name):
+        worker = FleetWorker(fleet_dir, cache=cache, runner=compute,
+                             worker_name=name, poll=0.05)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        return thread
+
+    busy = start("busy")
+    deadline = time.monotonic() + 5.0
+    while not paths.lease_files():  # "busy" holds the slow cell first
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    idle = start("idle")
+    observer = FleetObserver(fleet_dir)
+    while observer.refresh().counts["done"] < 1:  # "idle" ran the quick cell
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    seen = []
+    for _ in range(6):
+        time.sleep(0.2)
+        view = observer.refresh()
+        if view.counts["pending"] == 0:
+            break
+        seen.append((view.workers["idle"].live, view.workers["busy"].live))
+    busy.join(timeout=10.0)
+    idle.join(timeout=10.0)
+    assert not busy.is_alive() and not idle.is_alive()
+    assert len(seen) >= 4
+    assert seen == [(True, True)] * len(seen)
