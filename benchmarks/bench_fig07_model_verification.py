@@ -1,6 +1,7 @@
 """Fig. 7 — model verification: numeric vs simulated minimum q_th (§4.2).
 
-Two halves, as in the paper:
+Two halves, as in the paper (the axes and the scaled fabric are the
+driver's ``NUMERIC_AXES``/``SIMULATED_AXES``):
 
 * **numeric** — Eq. 9 evaluated across all four axes at the paper's
   operating point (15 paths, 1 Gbps, X=70 KB, D=10 ms), where the model
@@ -18,64 +19,11 @@ import pytest
 
 from benchmarks.conftest import emit, once
 from repro.experiments import model_verification as mv
-from repro.experiments.report import format_table
-
-# Scaled fabric for the simulated half: distinct hosts per flow (the
-# §4.2 topology), 8 paths, deadlines near the achievable FCT so the
-# threshold bites.
-SIM_CONFIG = mv.default_config(
-    n_paths=8, hosts_per_leaf=60, n_short=40, n_long=4,
-    buffer_packets=128, short_window=0.008, horizon=0.6,
-    distinct_hosts=True)
-SIM_DEADLINE = 0.0016
-
-SIM_AXES = [
-    ("m_short", (20, 40)),
-    ("m_long", (2, 4)),
-    ("n_paths", (6, 10)),
-    ("deadline", (0.0016, 0.0024)),
-]
-
-# Paper-scale numeric panels (fast: closed form).
-NUM_AXES = [
-    ("m_short", (20, 60, 100, 140)),
-    ("m_long", (1, 2, 3, 4, 5)),
-    ("n_paths", (10, 15, 20, 25)),
-    ("deadline", (0.006, 0.010, 0.015, 0.020)),
-]
-
-
-def _numeric_panels():
-    base = dict(m_short=100, m_long=3, n_paths=15, deadline=0.010)
-    out = {}
-    for axis, values in NUM_AXES:
-        rows = []
-        for v in values:
-            kw = dict(base)
-            kw[axis] = v
-            rows.append((v, mv.numeric_qth(**kw)))
-        out[axis] = rows
-    return out
-
-
-def _simulated_panels():
-    out = {}
-    for axis, values in SIM_AXES:
-        out[axis] = mv.run_axis(axis, values, config=SIM_CONFIG,
-                                deadline=SIM_DEADLINE, simulate=True)
-    return out
 
 
 @pytest.mark.benchmark(group="fig07")
 def test_fig07_numeric_panels(benchmark):
-    panels = once(benchmark, _numeric_panels)
-    tables = [
-        format_table([axis, "numeric_qth"],
-                     [[x, q] for x, q in rows],
-                     title=f"Fig. 7 — Eq. 9 q_th vs {axis} (paper scale)")
-        for axis, rows in panels.items()
-    ]
-    emit("fig07_numeric", "\n\n".join(tables))
+    panels = once(benchmark, mv.numeric_panels)
 
     def qs(axis):
         return [q for _, q in panels[axis]]
@@ -90,19 +38,8 @@ def test_fig07_numeric_panels(benchmark):
 
 @pytest.mark.benchmark(group="fig07")
 def test_fig07_simulated_panels(benchmark):
-    panels = once(benchmark, _simulated_panels)
-    def xfmt(axis: str, x: float):
-        # deadlines print in ms so 1.6 ms and 2.4 ms don't both round to 0.002
-        return x * 1e3 if axis == "deadline" else x
-
-    tables = [
-        format_table(
-            [axis if axis != "deadline" else "deadline_ms", "simulated_min_qth"],
-            [[xfmt(axis, p.x), p.simulated_qth] for p in points],
-            title=f"Fig. 7 — simulated minimum q_th vs {axis} (scaled)")
-        for axis, points in panels.items()
-    ]
-    emit("fig07_simulated", "\n\n".join(tables))
+    panels = once(benchmark, mv.simulated_panels)
+    emit("fig07", mv.tabulate(mv.numeric_panels(), panels))
 
     def first_last(axis):
         pts = panels[axis]
@@ -117,5 +54,5 @@ def test_fig07_simulated_panels(benchmark):
     a, b = first_last("deadline")
     assert b <= a
     # at least one axis shows a real (non-degenerate) spread
-    spreads = [abs(first_last(ax)[1] - first_last(ax)[0]) for ax, _ in SIM_AXES]
+    spreads = [abs(first_last(ax)[1] - first_last(ax)[0]) for ax in panels]
     assert max(spreads) >= 8

@@ -10,30 +10,23 @@ widening at high load; ECMP is the weakest long-flow scheme.
 
 import pytest
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import axis, emit, once
 from repro.experiments import largescale
-
-CONFIG = largescale.default_config(
-    "web_search", n_leaves=2, n_paths=4, hosts_per_leaf=16,
-    n_flows=120, truncate_tail=3_000_000, horizon=4.0)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-LOADS = (0.2, 0.5, 0.8)
 
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_websearch_load_sweep(benchmark):
-    rows = once(benchmark, lambda: largescale.run_load_sweep(
-        CONFIG, schemes=SCHEMES, loads=LOADS, processes=0))
+    rows = once(benchmark, lambda: largescale.run_figure("web_search"))
     emit("fig10", largescale.tabulate(rows, "web_search"))
     cell = {(r.scheme, r.load): r for r in rows}
+    schemes, loads = axis(rows, "scheme"), axis(rows, "load")
 
     # (a) at the highest load TLB beats the flow/flowlet/flowcell
     # baselines outright; the reduced tail truncation softens RPS's
     # reordering penalty on *short* flows (the damage still shows in
     # RPS's long-flow panel), so RPS gets slack here — at full tail RPS
     # loses, see the full-tail check recorded in EXPERIMENTS.md.
-    high = {s: cell[(s, 0.8)] for s in SCHEMES}
+    high = {s: cell[(s, 0.8)] for s in schemes}
     for s in ("ecmp", "presto", "letflow"):
         assert high["tlb"].short_afct < high[s].short_afct, s
     assert high["tlb"].short_afct < 1.35 * high["rps"].short_afct
@@ -43,19 +36,19 @@ def test_fig10_websearch_load_sweep(benchmark):
     # TLB leads ECMP at *every* load (paper: by ~68 % at 0.8; the 4-path
     # reduced fabric compresses the margin — require a strict win with
     # at least a few percent at the top load)
-    for load in LOADS:
+    for load in loads:
         assert cell[("tlb", load)].short_afct < cell[("ecmp", load)].short_afct
     assert high["tlb"].short_afct < 0.97 * high["ecmp"].short_afct
 
     # (c) TLB keeps deadline misses low at every load (paper: >90 % met)
-    for load in LOADS:
+    for load in loads:
         assert cell[("tlb", load)].deadline_miss <= 0.1
 
     # (d) TLB's long-flow throughput leads ECMP everywhere
-    for load in LOADS:
+    for load in loads:
         assert (cell[("tlb", load)].long_goodput_bps
                 > cell[("ecmp", load)].long_goodput_bps)
 
     # AFCT grows with load under every scheme (sanity of the sweep)
-    for s in SCHEMES:
+    for s in schemes:
         assert cell[(s, 0.8)].short_afct > cell[(s, 0.2)].short_afct * 0.8

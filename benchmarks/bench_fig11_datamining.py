@@ -10,21 +10,13 @@ here than under web search (fewer flowlet gaps).
 
 import pytest
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import axis, emit, once
 from repro.experiments import largescale
-
-CONFIG = largescale.default_config(
-    "data_mining", n_leaves=2, n_paths=4, hosts_per_leaf=16,
-    n_flows=150, truncate_tail=10_000_000, horizon=5.0)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-LOADS = (0.2, 0.5, 0.8)
 
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_datamining_load_sweep(benchmark):
-    rows = once(benchmark, lambda: largescale.run_load_sweep(
-        CONFIG, schemes=SCHEMES, loads=LOADS, processes=0))
+    rows = once(benchmark, lambda: largescale.run_figure("data_mining"))
     emit("fig11", largescale.tabulate(rows, "data_mining"))
     cell = {(r.scheme, r.load): r for r in rows}
 
@@ -32,13 +24,13 @@ def test_fig11_datamining_load_sweep(benchmark):
     # Data mining's short flows are 1-2 packets, which per-packet random
     # spraying serves perfectly once the tail is truncated, so RPS gets
     # the same 50 % slack here (full-tail behaviour in EXPERIMENTS.md).
-    high = {s: cell[(s, 0.8)] for s in SCHEMES}
+    high = {s: cell[(s, 0.8)] for s in axis(rows, "scheme")}
     for s in ("ecmp", "letflow"):
         assert high["tlb"].short_afct <= high[s].short_afct * 1.05, s
     assert high["tlb"].short_afct < 1.5 * high["rps"].short_afct
 
     # (c) TLB misses few deadlines
-    for load in LOADS:
+    for load in axis(rows, "load"):
         assert cell[("tlb", load)].deadline_miss <= 0.1
 
     # (d) long flows: TLB beats ECMP at high load

@@ -1,6 +1,6 @@
 """Fig. 12 — deadline-agnostic TLB (§6.3).
 
-Two parts:
+Two parts, one driver run (``repro figure fig12`` prints both):
 
 1. the paper's sweep — TLB configured with the 5th/25th/50th/75th
    percentile of the statistical deadline distribution as its fixed
@@ -16,32 +16,25 @@ binding), so the shape assertions target the mechanism and the paper's
 orderings as inequalities with slack.
 """
 
+import functools
 import math
 
 import pytest
 
-from benchmarks.conftest import emit, once
-from repro.experiments import deadline_agnostic, largescale
-from repro.experiments.common import ScenarioConfig, run_scenario_metrics
+from benchmarks.conftest import axis, emit, once
+from repro.experiments import deadline_agnostic
 
-POISSON_CONFIG = largescale.default_config(
-    "web_search", n_leaves=2, n_paths=4, hosts_per_leaf=16,
-    n_flows=100, truncate_tail=3_000_000, horizon=4.0)
 
-BURST_CONFIG = ScenarioConfig(
-    scheme="tlb", n_paths=15, hosts_per_leaf=160, n_short=150, n_long=4,
-    long_size=4_000_000, short_window=0.004, horizon=1.5,
-    distinct_hosts=True)
-
-PERCENTILES = (5.0, 25.0, 50.0, 75.0)
-LOADS = (0.4, 0.8)
+@functools.cache
+def _figure():
+    rows, pair = deadline_agnostic.run_figure()
+    emit("fig12", deadline_agnostic.tabulate(rows, pair))
+    return rows, pair
 
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12_percentile_sweep_websearch(benchmark):
-    rows = once(benchmark, lambda: deadline_agnostic.run_percentile_sweep(
-        POISSON_CONFIG, percentiles=PERCENTILES, loads=LOADS, processes=0))
-    emit("fig12", deadline_agnostic.tabulate(rows))
+    rows, _ = once(benchmark, _figure)
     cell = {(r.percentile, r.load): r for r in rows}
 
     # the percentile -> assumed-deadline decoding of U[5, 25] ms
@@ -50,7 +43,7 @@ def test_fig12_percentile_sweep_websearch(benchmark):
     assert cell[(75.0, 0.4)].assumed_deadline == pytest.approx(0.020)
 
     # tight percentiles never miss more than the laxest one
-    for load in LOADS:
+    for load in axis(rows, "load"):
         m25 = cell[(25.0, load)].deadline_miss
         m75 = cell[(75.0, load)].deadline_miss
         if not (math.isnan(m25) or math.isnan(m75)):
@@ -63,15 +56,7 @@ def test_fig12_percentile_sweep_websearch(benchmark):
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12_mechanism_laxer_deadline_more_reroutes(benchmark):
-    def run_pair():
-        out = {}
-        for d in (0.006, 0.020):
-            out[d] = run_scenario_metrics(BURST_CONFIG.with_(
-                scheme_params={"use_deadline_info": False,
-                               "default_deadline": d}))
-        return out
-
-    results = once(benchmark, run_pair)
+    _, results = once(benchmark, _figure)
     tight = results[0.006]
     lax = results[0.020]
     # Laxer assumed deadline => smaller q_th => long flows switch more.

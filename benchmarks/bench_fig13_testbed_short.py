@@ -10,33 +10,26 @@ growing with the short-flow count; TLB leads long-flow throughput.
 
 import pytest
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import axis, emit, once
 from repro.experiments import testbed
-
-CONFIG = testbed.testbed_config(
-    hosts_per_leaf=150, long_size=2_000_000, short_window=1.0,
-    horizon=40.0, distinct_hosts=True)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-VALUES = (60, 100, 140)
 
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_varying_short_flows(benchmark):
-    rows = once(benchmark, lambda: testbed.run_flowcount_sweep(
-        "n_short", VALUES, config=CONFIG, schemes=SCHEMES, processes=0))
+    rows = once(benchmark, lambda: testbed.run_figure("n_short"))
     emit("fig13", testbed.tabulate(rows, "n_short"))
     norm = testbed.normalise_to(rows, "tlb")
     cell = {(r.scheme, r.x): r for r in rows}
+    schemes, values = axis(rows, "scheme"), axis(rows, "x")
 
     # (a) TLB is the reference; baselines are slower on average
-    for x in VALUES:
-        others = [norm[(s, x)] for s in SCHEMES if s != "tlb"]
+    for x in values:
+        others = [norm[(s, x)] for s in schemes if s != "tlb"]
         assert sum(others) / len(others) > 1.0
     # ECMP's penalty is visible at the heaviest point (paper: ~18-40 %)
-    assert norm[("ecmp", VALUES[-1])] > 1.05
+    assert norm[("ecmp", values[-1])] > 1.05
 
     # (b) TLB's long-flow throughput leads ECMP at every point
-    for x in VALUES:
+    for x in values:
         assert (cell[("tlb", x)].long_goodput_bps
                 > cell[("ecmp", x)].long_goodput_bps)

@@ -9,35 +9,28 @@ matters more when more elephants need placing).
 
 import pytest
 
-from benchmarks.conftest import emit, once
+from benchmarks.conftest import axis, emit, once
 from repro.experiments import testbed
-
-CONFIG = testbed.testbed_config(
-    hosts_per_leaf=120, n_short=80, long_size=2_000_000, short_window=1.0,
-    horizon=40.0, distinct_hosts=True)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-VALUES = (2, 4, 6)
 
 
 @pytest.mark.benchmark(group="fig14")
 def test_fig14_varying_long_flows(benchmark):
-    rows = once(benchmark, lambda: testbed.run_flowcount_sweep(
-        "n_long", VALUES, config=CONFIG, schemes=SCHEMES, processes=0))
+    rows = once(benchmark, lambda: testbed.run_figure("n_long"))
     emit("fig14", testbed.tabulate(rows, "n_long"))
     norm = testbed.normalise_to(rows, "tlb")
     cell = {(r.scheme, r.x): r for r in rows}
+    schemes, values = axis(rows, "scheme"), axis(rows, "x")
 
     # (a) baselines trail TLB on average at every long-flow count
-    for x in VALUES:
-        others = [norm[(s, x)] for s in SCHEMES if s != "tlb"]
+    for x in values:
+        others = [norm[(s, x)] for s in schemes if s != "tlb"]
         assert sum(others) / len(others) > 1.0
 
     # (b) long-flow throughput: TLB leads ECMP throughout
-    for x in VALUES:
+    for x in values:
         assert (cell[("tlb", x)].long_goodput_bps
                 > cell[("ecmp", x)].long_goodput_bps)
 
     # short flows get slower as elephants are added, under every scheme
-    for s in SCHEMES:
+    for s in schemes:
         assert cell[(s, 6)].short_afct > 0.8 * cell[(s, 2)].short_afct

@@ -12,19 +12,11 @@ import pytest
 
 from benchmarks.conftest import emit, once
 from repro.experiments import overhead as overhead_exp
-from repro.experiments import testbed
-
-CONFIG = testbed.testbed_config(
-    n_short=60, n_long=3, hosts_per_leaf=80, long_size=2_000_000,
-    short_window=1.0, horizon=40.0, distinct_hosts=True)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
 
 
 @pytest.mark.benchmark(group="fig15")
 def test_fig15_switch_overhead(benchmark):
-    rows = once(benchmark, lambda: overhead_exp.run_overhead(
-        CONFIG, schemes=SCHEMES))
+    rows = once(benchmark, overhead_exp.run_figure)
     emit("fig15", overhead_exp.tabulate(rows))
     by = {r.scheme: r for r in rows}
 

@@ -11,30 +11,19 @@ overall.
 
 import pytest
 
-from benchmarks.conftest import emit, once
-from repro.experiments import asymmetry, testbed
-
-# Heavy enough congestion that queueing delay (the signal TLB reads)
-# dominates the injected propagation asymmetry — the testbed's regime,
-# where one packet serialises in 0.6 ms and queues run tens of ms deep.
-CONFIG = testbed.testbed_config(
-    n_short=60, n_long=4, hosts_per_leaf=80, long_size=5_000_000,
-    short_window=0.4, horizon=45.0, distinct_hosts=True)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-DELAYS = (0.0, 4e-3)  # extra one-way delay on the 2 bad links
+from benchmarks.conftest import axis, emit, once
+from repro.experiments import asymmetry
 
 
 @pytest.mark.benchmark(group="fig16")
 def test_fig16_delay_asymmetry(benchmark):
-    rows = once(benchmark, lambda: asymmetry.run_asymmetry_sweep(
-        "delay", DELAYS, config=CONFIG, schemes=SCHEMES, processes=0))
+    rows = once(benchmark, lambda: asymmetry.run_figure("delay"))
     emit("fig16", asymmetry.tabulate(rows, "delay"))
     cell = {(r.scheme, r.x): r for r in rows}
-    worst = DELAYS[-1]
+    worst = axis(rows, "x")[-1]  # extra one-way delay on the 2 bad links
 
     # TLB at or near the best AFCT under the strongest asymmetry
-    afcts = {s: cell[(s, worst)].short_afct for s in SCHEMES}
+    afcts = {s: cell[(s, worst)].short_afct for s in axis(rows, "scheme")}
     assert afcts["tlb"] <= 1.15 * min(afcts.values())
 
     # reordering-prone schemes lose long-flow throughput as delay grows

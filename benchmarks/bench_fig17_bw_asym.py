@@ -11,28 +11,19 @@ unequal paths; TLB (congestion-aware at both granularities) leads.
 
 import pytest
 
-from benchmarks.conftest import emit, once
-from repro.experiments import asymmetry, testbed
-
-# Same congested regime as the Fig. 16 bench (see the note there).
-CONFIG = testbed.testbed_config(
-    n_short=60, n_long=4, hosts_per_leaf=80, long_size=5_000_000,
-    short_window=0.4, horizon=45.0, distinct_hosts=True)
-
-SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-FACTORS = (1.0, 0.2)  # rate factors of the 2 degraded links
+from benchmarks.conftest import axis, emit, once
+from repro.experiments import asymmetry
 
 
 @pytest.mark.benchmark(group="fig17")
 def test_fig17_bandwidth_asymmetry(benchmark):
-    rows = once(benchmark, lambda: asymmetry.run_asymmetry_sweep(
-        "bandwidth", FACTORS, config=CONFIG, schemes=SCHEMES, processes=0))
+    rows = once(benchmark, lambda: asymmetry.run_figure("bandwidth"))
     emit("fig17", asymmetry.tabulate(rows, "bandwidth"))
     cell = {(r.scheme, r.x): r for r in rows}
-    worst = FACTORS[-1]
+    worst = axis(rows, "x")[-1]  # rate factor of the 2 degraded links
 
     # TLB at or near the best AFCT under the strongest asymmetry
-    afcts = {s: cell[(s, worst)].short_afct for s in SCHEMES}
+    afcts = {s: cell[(s, worst)].short_afct for s in axis(rows, "scheme")}
     assert afcts["tlb"] <= 1.15 * min(afcts.values())
 
     # oblivious per-packet spraying pays for the slow links

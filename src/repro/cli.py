@@ -804,7 +804,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             continue
         kwargs[param] = value
     if cache is not None:
-        if "cache" in inspect.signature(fn).parameters:
+        if "cache" in params:
             kwargs["cache"] = cache
         else:
             # e.g. fig3/4/8/9/15 need live run internals (tracer series)

@@ -23,7 +23,8 @@ from repro.experiments.testbed import (
     normalised_panels, scheme_params_for, testbed_config)
 from repro.sim.rng import RngRegistry
 
-__all__ = ["AsymmetryRow", "degraded_pair", "run_asymmetry_sweep", "main"]
+__all__ = ["AsymmetryRow", "degraded_pair", "run_asymmetry_sweep", "run_figure",
+           "main"]
 
 DEFAULT_SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
 
@@ -79,7 +80,7 @@ def run_asymmetry_sweep(
     kind: str,
     values: Sequence[float],
     *,
-    config: Optional[ScenarioConfig] = None,
+    config: ScenarioConfig,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     processes: Optional[int] = None,
     cache=None,
@@ -93,14 +94,12 @@ def run_asymmetry_sweep(
     """
     if kind not in ("delay", "bandwidth"):
         raise ValueError(f"kind must be 'delay' or 'bandwidth', got {kind!r}")
-    base = config if config is not None else testbed_config(
-        n_short=60, hosts_per_leaf=70)
     grid = [(s, v) for s in schemes for v in values]
     configs = []
     for s, v in grid:
-        ov = (_overrides(base, extra_delay=float(v)) if kind == "delay"
-              else _overrides(base, rate_factor=float(v)))
-        configs.append(base.with_(
+        ov = (_overrides(config, extra_delay=float(v)) if kind == "delay"
+              else _overrides(config, rate_factor=float(v)))
+        configs.append(config.with_(
             scheme=s, scheme_params=scheme_params_for(s), link_overrides=ov))
     metrics = run_many(configs, processes=processes, cache=cache)
     return [
@@ -125,15 +124,25 @@ def tabulate(rows: Sequence[AsymmetryRow], kind: str) -> str:
         title=f"Fig. {'16' if delay else '17'}")
 
 
-def main(kind: str = "delay",
-         values: Optional[Sequence[float]] = None,
-         config: Optional[ScenarioConfig] = None,
-         cache=None) -> str:
+def run_figure(kind: str, cache=None) -> list[AsymmetryRow]:
+    """Fig. 16 (``"delay"``: +0/+4 ms) or 17 (``"bandwidth"``: rate
+    ×1/×0.2) as EXPERIMENTS.md quotes it.
+
+    The testbed is congested heavily enough (60 short + 4 long 5 MB
+    flows) that queueing delay, the signal TLB reads, dominates the
+    injected propagation asymmetry — the testbed's regime, where one
+    packet serialises in 0.6 ms and queues run tens of ms deep.
+    """
+    config = testbed_config(
+        n_short=60, n_long=4, hosts_per_leaf=80, long_size=5_000_000,
+        short_window=0.4, horizon=45.0, distinct_hosts=True)
+    values = (0.0, 4e-3) if kind == "delay" else (1.0, 0.2)
+    return run_asymmetry_sweep(kind, values, config=config, cache=cache)
+
+
+def main(kind: str = "delay", cache=None) -> str:
     """Run one asymmetry sweep and render it."""
-    if values is None:
-        values = (0.0, 1e-3, 4e-3) if kind == "delay" else (1.0, 0.5, 0.25)
-    rows = run_asymmetry_sweep(kind, values, config=config, cache=cache)
-    return tabulate(rows, kind)
+    return tabulate(run_figure(kind, cache=cache), kind)
 
 
 if __name__ == "__main__":  # pragma: no cover

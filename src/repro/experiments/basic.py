@@ -11,7 +11,7 @@ microbenchmark:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.experiments.report import format_table
 from repro.metrics.queueing import queue_wait_series
 
-__all__ = ["BasicSeries", "run_basic", "default_config", "main"]
+__all__ = ["BasicSeries", "run_basic", "default_config", "run_figure",
+           "tabulate", "main"]
 
 DEFAULT_SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
 
@@ -59,14 +60,13 @@ def default_config(**overrides) -> ScenarioConfig:
 
 
 def run_basic(
+    config: ScenarioConfig,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
-    config: Optional[ScenarioConfig] = None,
 ) -> list[BasicSeries]:
     """Run each scheme on the same workload and extract the four series.
 
     All series share the config's ``bin_width`` so they align bin-for-bin.
     """
-    config = config if config is not None else default_config()
     out: list[BasicSeries] = []
     for scheme in schemes:
         res = run_scenario(config.with_(scheme=scheme))
@@ -103,23 +103,36 @@ def run_basic(
     return out
 
 
-def main(config: Optional[ScenarioConfig] = None) -> str:
-    """Run and render the Fig. 8/9 summary tables."""
-    series = run_basic(config=config)
+def run_figure() -> list[BasicSeries]:
+    """Figs. 8–9 as EXPERIMENTS.md quotes them: 8 paths, 50 short + 3
+    long flows on distinct hosts (one campaign feeds both figures)."""
+    return run_basic(default_config(
+        n_paths=8, hosts_per_leaf=60, n_short=50, n_long=3,
+        long_size=2_000_000, short_window=0.015, horizon=1.0,
+        bin_width=0.005, distinct_hosts=True))
+
+
+def tabulate(series: Sequence[BasicSeries]) -> str:
+    """Render the Fig. 8 and Fig. 9 summary tables."""
     t8 = format_table(
         ["scheme", "short_dup_ratio", "mean_queue_wait_us", "short_afct_ms"],
         [[s.scheme, s.short_dup_ratio, s.mean_short_wait * 1e6,
           s.short_afct * 1e3] for s in series],
-        title="Fig. 8 — short-flow reordering and queueing delay",
+        title="Fig. 8 — short flows: reordering (a) and queueing delay (b)",
     )
     t9 = format_table(
         ["scheme", "long_dup_ratio", "long_goodput_Mbps", "peak_inst_Mbps"],
         [[s.scheme, s.long_dup_ratio, s.long_goodput_bps / 1e6,
           float(s.long_throughput_bps.max()) / 1e6 if s.long_throughput_bps.size
           else 0.0] for s in series],
-        title="Fig. 9 — long-flow reordering and instantaneous throughput",
+        title="Fig. 9 — long flows: reordering (a) and instantaneous throughput (b)",
     )
     return t8 + "\n\n" + t9
+
+
+def main() -> str:
+    """Run and render the Fig. 8/9 summary tables."""
+    return tabulate(run_figure())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,14 +19,18 @@ from typing import Optional, Sequence
 
 from repro.experiments.common import ScenarioConfig
 from repro.experiments.largescale import default_config as websearch_config
-from repro.experiments.report import FCT_PANELS, fct_fields, panel_tables
+from repro.experiments.report import (
+    FCT_PANELS, fct_fields, format_table, panel_tables)
 from repro.experiments.runner import run_many
+from repro.metrics.collector import RunMetrics
 from repro.workload.deadlines import UniformDeadlines
 
-__all__ = ["AgnosticRow", "run_percentile_sweep", "main", "DEFAULT_PERCENTILES"]
+__all__ = ["AgnosticRow", "run_percentile_sweep", "run_figure", "tabulate",
+           "main", "DEFAULT_PERCENTILES"]
 
 DEFAULT_PERCENTILES = (5.0, 25.0, 50.0, 75.0)
-DEFAULT_LOADS = (0.2, 0.4, 0.6, 0.8)
+#: the mechanism pair's assumed deadlines: the 5th and 75th percentiles
+BURST_DEADLINES = (0.006, 0.020)
 
 
 @dataclass(frozen=True)
@@ -45,31 +49,29 @@ class AgnosticRow:
     long_reroutes: int = 0
 
 
+def _agnostic(config: ScenarioConfig, deadline: float,
+              **overrides) -> ScenarioConfig:
+    """TLB assuming ``deadline`` for every flow, blind to the real ones."""
+    return config.with_(
+        scheme="tlb",
+        scheme_params={"use_deadline_info": False,
+                       "default_deadline": deadline},
+        **overrides)
+
+
 def run_percentile_sweep(
-    config: Optional[ScenarioConfig] = None,
+    config: ScenarioConfig,
     *,
     percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-    loads: Sequence[float] = DEFAULT_LOADS,
+    loads: Sequence[float],
     processes: Optional[int] = None,
     cache=None,
 ) -> list[AgnosticRow]:
     """Run TLB-p for each percentile and load (web-search workload)."""
-    base = config if config is not None else websearch_config("web_search")
-    dist = UniformDeadlines(base.deadline_lo, base.deadline_hi)
-    grid: list[tuple[float, float, float]] = []
-    configs: list[ScenarioConfig] = []
-    for p in percentiles:
-        d = dist.percentile(p)
-        for load in loads:
-            grid.append((p, d, load))
-            configs.append(base.with_(
-                scheme="tlb",
-                scheme_params={
-                    "use_deadline_info": False,
-                    "default_deadline": d,
-                },
-                load=load,
-            ))
+    dist = UniformDeadlines(config.deadline_lo, config.deadline_hi)
+    grid = [(p, dist.percentile(p), load)
+            for p in percentiles for load in loads]
+    configs = [_agnostic(config, d, load=load) for _, d, load in grid]
     metrics = run_many(configs, processes=processes, cache=cache)
     return [
         AgnosticRow(
@@ -83,20 +85,53 @@ def run_percentile_sweep(
     ]
 
 
-def tabulate(rows: Sequence[AgnosticRow]) -> str:
-    """Render the four Fig. 12 panels."""
+def run_figure(cache=None) -> tuple[list[AgnosticRow], dict[float, RunMetrics]]:
+    """Fig. 12 as EXPERIMENTS.md quotes it, in two parts.
+
+    1. the percentile sweep on a 2 leaves × 4 paths × 16 hosts
+       web-search fabric at loads 0.4/0.8;
+    2. the mechanism at microbenchmark scale (15 paths, a 150-flow
+       burst beside 4 long flows): TLB assuming each of
+       :data:`BURST_DEADLINES`, keyed by that deadline.  A laxer
+       assumed deadline computes a smaller ``q_th`` and so reroutes
+       long flows more — the causal chain behind the figure.
+    """
+    rows = run_percentile_sweep(
+        websearch_config("web_search", n_paths=4, hosts_per_leaf=16,
+                         n_flows=100, horizon=4.0),
+        loads=(0.4, 0.8), cache=cache)
+    burst = ScenarioConfig(
+        n_paths=15, hosts_per_leaf=160, n_short=150, n_long=4,
+        long_size=4_000_000, short_window=0.004, horizon=1.5,
+        distinct_hosts=True)
+    pair = run_many([_agnostic(burst, d) for d in BURST_DEADLINES],
+                    cache=cache)
+    return rows, dict(zip(BURST_DEADLINES, pair))
+
+
+def tabulate(rows: Sequence[AgnosticRow],
+             burst: Optional[dict[float, RunMetrics]] = None) -> str:
+    """Render the four Fig. 12 panels, then the burst mechanism pair."""
     # Fig. 12 titles its (b) panel without "of short flows"
     a, (_, p99), c, d = FCT_PANELS
-    return panel_tables(
+    text = panel_tables(
         rows, x=lambda r: r.load, series=lambda r: r.percentile,
         series_header=lambda p: f"TLB-{int(p)}th", x_header="load",
         panels=(a, ("(b) 99th percentile FCT (ms)", p99), c, d),
         title="Fig. 12")
+    if not burst:
+        return text
+    return text + "\n\n" + format_table(
+        ["assumed_deadline_ms", "long_reroutes", "missed_deadlines_%",
+         "short_afct_ms"],
+        [[d * 1e3, m.extras["long_reroutes"], m.deadline_miss * 100,
+          m.short_fct.mean * 1e3] for d, m in burst.items()],
+        title="Fig. 12 mechanism — burst microbenchmark, long-flow reroutes")
 
 
-def main(config: Optional[ScenarioConfig] = None, cache=None) -> str:
-    """Run the Fig. 12 sweep and render it."""
-    return tabulate(run_percentile_sweep(config, cache=cache))
+def main(cache=None) -> str:
+    """Run the Fig. 12 sweep and mechanism pair and render them."""
+    return tabulate(*run_figure(cache=cache))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,9 +8,11 @@ between random host pairs.  Four panels per workload:
 each as a function of load, for ECMP/RPS/Presto/LetFlow/TLB.
 
 Scale: the paper uses 8 leaves × 8 spines × 256 hosts at 1 Gbps.  The
-default here is a reduced fabric (4 × 8 × 32 hosts) and a bounded flow
-count so a full sweep stays in CPU-minutes; ``paper_scale_config()``
-returns the full-size configuration.  The reproduction target is the
+default here (``repro sweep``'s base) is a reduced fabric (2 leaves ×
+8 spines × 32 hosts per leaf) and a bounded flow count so a full sweep
+stays in CPU-minutes; the figures run a smaller one still
+(:func:`run_figure`), and ``paper_scale_config()`` returns the
+full-size configuration.  The reproduction target is the
 *shape*: TLB's advantage growing with load, LetFlow better at high load
 than low, ECMP worst throughout.
 """
@@ -32,12 +34,12 @@ __all__ = [
     "paper_scale_config",
     "load_grid",
     "run_load_sweep",
+    "run_figure",
     "sweep_row",
     "main",
 ]
 
 DEFAULT_SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
-DEFAULT_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
 
 @dataclass(frozen=True)
@@ -100,12 +102,11 @@ def load_grid(config: ScenarioConfig, schemes: Sequence[str],
 
 
 def run_load_sweep(
-    config: Optional[ScenarioConfig] = None,
+    config: ScenarioConfig,
     *,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
-    loads: Sequence[float] = DEFAULT_LOADS,
+    loads: Sequence[float],
     processes: Optional[int] = None,
-    progress: bool = False,
     cache=None,
 ) -> list[LoadSweepRow]:
     """The full (scheme × load) grid, parallelised across processes.
@@ -113,10 +114,9 @@ def run_load_sweep(
     ``cache`` (a :class:`~repro.cache.ResultCache`) makes re-runs of an
     unchanged grid resolve from disk instead of re-simulating.
     """
-    configs = load_grid(config if config is not None else default_config(),
-                        schemes, loads)
-    metrics = run_many(configs, processes=processes, progress=progress,
-                       label="load_sweep", cache=cache)
+    configs = load_grid(config, schemes, loads)
+    metrics = run_many(configs, processes=processes, label="load_sweep",
+                       cache=cache)
     return [sweep_row(c.scheme, c.load, m) for c, m in zip(configs, metrics)]
 
 
@@ -135,14 +135,19 @@ def tabulate(rows: Sequence[LoadSweepRow], workload: str) -> str:
         title=f"Fig. {'10' if workload == 'web_search' else '11'}")
 
 
-def main(workload: str = "web_search",
-         config: Optional[ScenarioConfig] = None,
-         loads: Sequence[float] = DEFAULT_LOADS,
-         cache=None) -> str:
+def run_figure(workload: str, cache=None) -> list[LoadSweepRow]:
+    """Fig. 10 (``"web_search"``) or 11 (``"data_mining"``) as
+    EXPERIMENTS.md quotes it: 2 leaves × 4 paths × 16 hosts, loads
+    0.2/0.5/0.8."""
+    flows, horizon = (120, 4.0) if workload == "web_search" else (150, 5.0)
+    config = default_config(workload, n_paths=4, hosts_per_leaf=16,
+                            n_flows=flows, horizon=horizon)
+    return run_load_sweep(config, loads=(0.2, 0.5, 0.8), cache=cache)
+
+
+def main(workload: str = "web_search", cache=None) -> str:
     """Run the sweep and render all four panels."""
-    cfg = config if config is not None else default_config(workload)
-    rows = run_load_sweep(cfg, loads=loads, cache=cache)
-    return tabulate(rows, workload)
+    return tabulate(run_figure(workload, cache=cache), workload)
 
 
 if __name__ == "__main__":  # pragma: no cover

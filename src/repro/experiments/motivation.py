@@ -1,7 +1,7 @@
 """§2.2 motivation study — Figs. 3 and 4.
 
 One fixed rerouting granularity for *all* flows (flow-level, flowlet-
-level, packet-level), measured on the 15-path microbenchmark:
+level, packet-level), measured on the §2.2 microbenchmark:
 
 * Fig. 3 (short flows): (a) CDF of the queue length each short-flow
   packet finds at the sender-leaf uplinks, (b) duplicate-ACK ratio,
@@ -18,8 +18,6 @@ capacity under any *fixed* granularity — the dilemma TLB resolves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from repro.experiments.common import ScenarioConfig, run_scenario
@@ -28,7 +26,8 @@ from repro.metrics.queueing import queue_length_samples
 from repro.metrics.fct import fct_cdf, split_by_size
 from repro.units import microseconds
 
-__all__ = ["GRANULARITIES", "MotivationRow", "run_motivation", "main"]
+__all__ = ["GRANULARITIES", "MotivationRow", "run_motivation", "run_figure",
+           "tabulate", "main"]
 
 #: The three §2 granularities, expressed as scheme configurations.
 GRANULARITIES: dict[str, tuple[str, dict]] = {
@@ -80,15 +79,10 @@ def default_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-def run_motivation(
-    config: Optional[ScenarioConfig] = None,
-    granularities: Optional[dict[str, tuple[str, dict]]] = None,
-) -> list[MotivationRow]:
+def run_motivation(config: ScenarioConfig) -> list[MotivationRow]:
     """Run the granularity family; one row per granularity."""
-    config = config if config is not None else default_config()
-    granularities = granularities if granularities is not None else GRANULARITIES
     rows: list[MotivationRow] = []
-    for label, (scheme, params) in granularities.items():
+    for label, (scheme, params) in GRANULARITIES.items():
         res = run_scenario(config.with_(scheme=scheme, scheme_params=dict(params)))
         stats = res.registry.all_stats()
         short, long_ = split_by_size(stats, config.short_threshold)
@@ -122,9 +116,16 @@ def run_motivation(
     return rows
 
 
-def main(config: Optional[ScenarioConfig] = None) -> str:
-    """Run and render the Fig. 3/4 tables."""
-    rows = run_motivation(config)
+def run_figure() -> list[MotivationRow]:
+    """Figs. 3–4 as EXPERIMENTS.md quotes them: 8 paths, 50 short + 4
+    long flows (one campaign feeds both figures)."""
+    return run_motivation(default_config(
+        n_paths=8, hosts_per_leaf=60, n_short=50, n_long=4,
+        long_size=2_000_000, short_window=0.01, horizon=1.0))
+
+
+def tabulate(rows: list[MotivationRow]) -> str:
+    """Render the Fig. 3 and Fig. 4 tables."""
     t3 = format_table(
         ["granularity", "qlen_p50", "qlen_p90", "qlen_p99",
          "dup_ack_ratio", "afct_ms", "fct_p99_ms"],
@@ -142,6 +143,11 @@ def main(config: Optional[ScenarioConfig] = None) -> str:
         title="Fig. 4 — impact of switching granularity on long flows",
     )
     return t3 + "\n\n" + t4
+
+
+def main() -> str:
+    """Run and render the Fig. 3/4 tables."""
+    return tabulate(run_figure())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,14 +12,14 @@ periodic calculator — a small increment, not an excessive one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.experiments.report import format_table
 from repro.experiments.testbed import scheme_params_for, testbed_config
 from repro.metrics.overhead import OverheadModel
 
-__all__ = ["OverheadRow", "run_overhead", "main"]
+__all__ = ["OverheadRow", "run_overhead", "run_figure", "tabulate", "main"]
 
 DEFAULT_SCHEMES = ("ecmp", "rps", "presto", "letflow", "tlb")
 
@@ -37,18 +37,15 @@ class OverheadRow:
 
 
 def run_overhead(
-    config: Optional[ScenarioConfig] = None,
+    config: ScenarioConfig,
     *,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
-    model: Optional[OverheadModel] = None,
 ) -> list[OverheadRow]:
     """Run the testbed scenario per scheme and aggregate counters."""
-    base = config if config is not None else testbed_config(
-        n_short=60, hosts_per_leaf=70)
-    model = model if model is not None else OverheadModel()
+    model = OverheadModel()
     rows: list[OverheadRow] = []
     for scheme in schemes:
-        res = run_scenario(base.with_(
+        res = run_scenario(config.with_(
             scheme=scheme, scheme_params=scheme_params_for(scheme)))
         agg = model.aggregate(scheme, res.balancers.values())
         elapsed = res.net.sim.now
@@ -81,9 +78,17 @@ def tabulate(rows: Sequence[OverheadRow]) -> str:
     )
 
 
-def main(config: Optional[ScenarioConfig] = None) -> str:
+def run_figure() -> list[OverheadRow]:
+    """Fig. 15 as EXPERIMENTS.md quotes it: the testbed with 60 short +
+    3 long 2 MB flows on distinct hosts."""
+    return run_overhead(testbed_config(
+        n_short=60, n_long=3, hosts_per_leaf=80, long_size=2_000_000,
+        short_window=1.0, horizon=40.0, distinct_hosts=True))
+
+
+def main() -> str:
     """Run and render the overhead comparison."""
-    return tabulate(run_overhead(config))
+    return tabulate(run_figure())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -26,6 +26,7 @@ __all__ = [
     "TestbedRow",
     "testbed_config",
     "run_flowcount_sweep",
+    "run_figure",
     "normalise_to",
     "main",
 ]
@@ -91,7 +92,7 @@ def run_flowcount_sweep(
     axis: str,
     values: Sequence[int],
     *,
-    config: Optional[ScenarioConfig] = None,
+    config: ScenarioConfig,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
     processes: Optional[int] = None,
     cache=None,
@@ -99,9 +100,8 @@ def run_flowcount_sweep(
     """Sweep ``axis`` in {"n_short" (Fig. 13), "n_long" (Fig. 14)}."""
     if axis not in ("n_short", "n_long"):
         raise ValueError(f"axis must be n_short or n_long, got {axis!r}")
-    base = config if config is not None else testbed_config()
     configs = [
-        base.with_(scheme=s, scheme_params=scheme_params_for(s), **{axis: int(v)})
+        config.with_(scheme=s, scheme_params=scheme_params_for(s), **{axis: int(v)})
         for s in schemes for v in values
     ]
     metrics = run_many(configs, processes=processes, cache=cache)
@@ -148,15 +148,22 @@ def tabulate(rows: Sequence[TestbedRow], axis: str) -> str:
         title=f"Fig. {'13' if axis == 'n_short' else '14'}")
 
 
-def main(axis: str = "n_short",
-         values: Optional[Sequence[int]] = None,
-         config: Optional[ScenarioConfig] = None,
-         cache=None) -> str:
+def run_figure(axis: str, cache=None) -> list[TestbedRow]:
+    """Fig. 13 (``"n_short"``: 60/100/140 short flows) or 14
+    (``"n_long"``: 2/4/6 long flows beside 80 short ones) as
+    EXPERIMENTS.md quotes it: 2 MB long flows on distinct hosts."""
+    if axis == "n_short":
+        overrides, values = dict(hosts_per_leaf=150), (60, 100, 140)
+    else:
+        overrides, values = dict(hosts_per_leaf=120, n_short=80), (2, 4, 6)
+    config = testbed_config(long_size=2_000_000, short_window=1.0,
+                            horizon=40.0, distinct_hosts=True, **overrides)
+    return run_flowcount_sweep(axis, values, config=config, cache=cache)
+
+
+def main(axis: str = "n_short", cache=None) -> str:
     """Run one testbed sweep and render it."""
-    if values is None:
-        values = (60, 100, 140) if axis == "n_short" else (2, 4, 6)
-    rows = run_flowcount_sweep(axis, values, config=config, cache=cache)
-    return tabulate(rows, axis)
+    return tabulate(run_figure(axis, cache=cache), axis)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -59,8 +59,12 @@ class Lease:
 
 def acquire(leases_dir: Path, cell: str, worker: str,
             clock: Callable[[], float] = time.time) -> Optional[Lease]:
-    """Try to claim ``cell`` for ``worker``; None if already leased."""
-    leases_dir.mkdir(parents=True, exist_ok=True)
+    """Try to claim ``cell`` for ``worker``; None if already leased.
+
+    ``leases_dir`` must exist (``FleetPaths.ensure`` makes it): any
+    failure other than the lease file already existing propagates, so a
+    missing directory is an error, never a cell that reads as taken.
+    """
     path = leases_dir / f"{cell}.json"
     now = clock()
     lease = Lease(path=path, cell=cell, worker=worker,
@@ -68,8 +72,6 @@ def acquire(leases_dir: Path, cell: str, worker: str,
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     except FileExistsError:
-        return None
-    except OSError:
         return None
     try:
         os.write(fd, json.dumps(lease.payload(now), sort_keys=True).encode())

@@ -45,8 +45,7 @@ def test_motivation_fig4_shapes(motivation_rows):
 
 
 def test_motivation_main_renders(motivation_rows, monkeypatch):
-    monkeypatch.setattr(motivation, "run_motivation",
-                        lambda config=None, granularities=None: motivation_rows)
+    monkeypatch.setattr(motivation, "run_figure", lambda: motivation_rows)
     text = motivation.main()
     assert "Fig. 3" in text and "Fig. 4" in text
     assert "flowlet" in text
@@ -117,7 +116,8 @@ def test_testbed_sweep_and_normalisation():
 
 def test_testbed_axis_validation():
     with pytest.raises(ValueError):
-        testbed.run_flowcount_sweep("bogus", [1])
+        testbed.run_flowcount_sweep("bogus", [1],
+                                    config=testbed.testbed_config())
 
 
 def test_scheme_params_for():
@@ -158,7 +158,7 @@ def test_asymmetry_sweep_structure():
     text = asymmetry.tabulate(rows, "bandwidth")
     assert "Fig. 17" in text
     with pytest.raises(ValueError):
-        asymmetry.run_asymmetry_sweep("bogus", [1.0])
+        asymmetry.run_asymmetry_sweep("bogus", [1.0], config=cfg)
 
 
 def test_workloads_grid_structure():

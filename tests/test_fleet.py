@@ -145,6 +145,14 @@ def test_lease_acquire_is_exclusive(tmp_path):
     assert ln.acquire(tmp_path, "k0", "w2") is not None
 
 
+def test_acquire_in_missing_leases_dir_raises(tmp_path):
+    # a missing directory is an error, not a cell that reads as leased
+    # (a worker would otherwise skip every cell and spin forever)
+    with pytest.raises(FileNotFoundError):
+        ln.acquire(tmp_path / "absent", "k0", "w1")
+    assert not (tmp_path / "absent").exists()
+
+
 def test_lease_renew_refuses_lost_ownership(tmp_path):
     got = ln.acquire(tmp_path, "k0", "w1")
     assert ln.renew(got)

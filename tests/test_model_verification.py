@@ -65,22 +65,28 @@ def test_simulated_min_qth_trivial(monkeypatch):
     assert mv.simulated_min_qth(cfg, 0.010) == 1
 
 
-def test_run_axis_numeric_only():
-    pts = mv.run_axis("m_short", [20, 60, 100], simulate=False)
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Stub the bisection so ``run_axis`` only does its numeric half."""
+    monkeypatch.setattr(mv, "simulated_min_qth", lambda config, deadline: None)
+
+
+def test_run_axis_numeric_only(no_simulation):
+    pts = mv.run_axis("m_short", [20, 60, 100], config=mv.default_config())
     assert [p.x for p in pts] == [20, 60, 100]
     assert all(p.simulated_qth is None for p in pts)
     qs = [p.numeric_qth for p in pts]
     assert qs == sorted(qs)
 
 
-def test_run_axis_deadline_uses_value_as_deadline():
-    pts = mv.run_axis("deadline", [0.006, 0.020], simulate=False)
+def test_run_axis_deadline_uses_value_as_deadline(no_simulation):
+    pts = mv.run_axis("deadline", [0.006, 0.020], config=mv.default_config())
     assert pts[0].numeric_qth > pts[1].numeric_qth
 
 
 def test_run_axis_rejects_unknown():
     with pytest.raises(ValueError):
-        mv.run_axis("bogus", [1])
+        mv.run_axis("bogus", [1], config=mv.default_config())
 
 
 def test_small_end_to_end_simulated_point():
